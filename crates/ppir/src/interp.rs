@@ -8,11 +8,17 @@
 //! state is the golden reference against which the cycle-accurate simulator
 //! is checked, element for element.
 
+mod block;
+mod lower;
+#[cfg(test)]
+mod tree_walk;
+
+use self::block::Lanes;
+use self::lower::{Addr, Block, Code, Ins, Kind, Layout, Lowered, Node, Write, LANES};
 use crate::ctrl::{
-    CBound, Counter, CtrlBody, CtrlId, FilterPipe, FoldInit, FoldPipe, GatherOp, InnerOp, MapPipe,
-    PipeWrite, RegWrite, ScatterOp, TileTransfer, WriteMode,
+    CBound, Controller, CtrlId, FoldInit, FoldPipe, GatherOp, ScatterOp, TileTransfer, WriteMode,
 };
-use crate::expr::{eval_binop, eval_unop, DramId, Expr, Func, FuncId, RegId, SramId};
+use crate::expr::{eval_binop, eval_unop, BinOp, DramId, RegId, SramId};
 use crate::program::Program;
 use crate::trace::{DramRange, LeafWork, NullSink, TraceSink};
 use crate::types::{Elem, TypeError};
@@ -100,22 +106,167 @@ pub struct InterpStats {
 }
 
 /// Interpreter state: one program plus its memories.
+///
+/// Parameters, registers and loop indices live in one slot file, followed
+/// by the slots of the lowered program each run builds, so every operand
+/// is a plain slot index.
 #[derive(Debug, Clone)]
 pub struct Machine<'p> {
     prog: &'p Program,
     drams: Vec<Vec<Elem>>,
     srams: Vec<Vec<Elem>>,
-    regs: Vec<Elem>,
-    params: Vec<Elem>,
-    indices: Vec<i64>,
-    cur_work: LeafWork,
+    slots: Vec<Elem>,
+    /// Resolved counters of the controllers being executed, outermost
+    /// first; each invocation pushes its chain and pops it when done.
+    dims: Vec<Dim>,
+    /// Rows of the leaf sweeping in blocks.
+    lanes: Lanes,
     /// Accumulated statistics.
     pub stats: InterpStats,
+}
+
+/// One resolved counter: the index slot it drives, its bounds and stride,
+/// and (for all but a leaf's innermost counter) its current value.
+#[derive(Debug, Clone, Copy)]
+struct Dim {
+    slot: usize,
+    min: i64,
+    max: i64,
+    stride: i64,
+    cur: i64,
+}
+
+/// The sweep of a leaf's innermost counter: each [`Row::advance`] sets the
+/// index slot to the next value.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    slot: Option<usize>,
+    next: i64,
+    max: i64,
+    stride: i64,
+}
+
+/// Shortest innermost run swept as a block rather than trip by trip.
+const MIN_BLOCK: usize = 4;
+
+impl Row {
+    /// Trips left in the sweep, at most one block's worth.
+    #[inline(always)]
+    fn pending(&self) -> usize {
+        if self.next >= self.max {
+            return 0;
+        }
+        let left = (self.max.abs_diff(self.next) - 1) / self.stride as u64 + 1;
+        left.min(LANES as u64) as usize
+    }
+
+    /// Skips `n` trips that ran as a block.
+    fn skip(&mut self, n: usize) {
+        self.next += n as i64 * self.stride;
+    }
+
+    /// Moves to the next trip, or returns `false` when the sweep is done.
+    #[inline(always)]
+    fn advance(&mut self, slots: &mut [Elem]) -> bool {
+        if self.next >= self.max {
+            return false;
+        }
+        if let Some(s) = self.slot {
+            slots[s] = Elem::I32(self.next as i32);
+        }
+        self.next += self.stride;
+        true
+    }
+}
+
+/// `eval_binop` with the arithmetic pattern bodies spend their time in
+/// inlined; every other case defers to it, so results are identical.
+#[inline(always)]
+fn binop(op: BinOp, a: Elem, b: Elem) -> Result<Elem, TypeError> {
+    match (op, a, b) {
+        (BinOp::Add, Elem::F32(x), Elem::F32(y)) => Ok(Elem::F32(x + y)),
+        (BinOp::Sub, Elem::F32(x), Elem::F32(y)) => Ok(Elem::F32(x - y)),
+        (BinOp::Mul, Elem::F32(x), Elem::F32(y)) => Ok(Elem::F32(x * y)),
+        (BinOp::Add, Elem::I32(x), Elem::I32(y)) => Ok(Elem::I32(x.wrapping_add(y))),
+        (BinOp::Sub, Elem::I32(x), Elem::I32(y)) => Ok(Elem::I32(x.wrapping_sub(y))),
+        (BinOp::Mul, Elem::I32(x), Elem::I32(y)) => Ok(Elem::I32(x.wrapping_mul(y))),
+        _ => eval_binop(op, a, b),
+    }
+}
+
+/// Leading elements of a `len`-element run from `start` that lie inside a
+/// buffer of `cap` elements.
+fn in_bounds(start: i64, len: usize, cap: usize) -> usize {
+    match usize::try_from(start) {
+        Ok(s) if s < cap => len.min(cap - s),
+        _ => 0,
+    }
+}
+
+#[cold]
+fn sram_oob(prog: &Program, id: SramId, addr: i64) -> RunError {
+    RunError::SramOob {
+        mem: prog.sram(id).name.clone(),
+        addr,
+    }
+}
+
+/// The linear offset of a scratchpad address whose coordinates `get`
+/// reads (from slots, or from one lane of a block's rows); `lists` holds
+/// the coordinates of `Addr::Dn` addresses. Every coordinate is
+/// type-checked before any bound is, and an out-of-bounds address reports
+/// its first coordinate, as `Sram::flatten`'s callers always have.
+#[inline(always)]
+fn offset(
+    prog: &Program,
+    lists: &[u32],
+    mem: u32,
+    at: Addr,
+    get: impl Fn(u32) -> Elem,
+) -> Result<usize, RunError> {
+    let first = match at {
+        Addr::D1 { a, n } => {
+            let x = get(a).as_i32()?;
+            if x >= 0 && (x as u32) < n {
+                return Ok(x as usize);
+            }
+            x
+        }
+        Addr::D2 { a, b, n0, n1 } => {
+            let x = get(a).as_i32()?;
+            let y = get(b).as_i32()?;
+            if x >= 0 && (x as u32) < n0 && y >= 0 && (y as u32) < n1 {
+                return Ok(x as usize * n1 as usize + y as usize);
+            }
+            x
+        }
+        Addr::Dn { at, rank } => {
+            let dims = &prog.sram(SramId(mem)).dims;
+            let coords = &lists[at as usize..(at + rank) as usize];
+            let mut off = 0usize;
+            let mut ok = true;
+            for (&s, &d) in coords.iter().zip(dims) {
+                let c = get(s).as_i32()?;
+                ok &= c >= 0 && (c as usize) < d;
+                off = off.wrapping_mul(d).wrapping_add(c as usize);
+            }
+            if ok {
+                return Ok(off);
+            }
+            get(coords[0]).as_i32()?
+        }
+    };
+    Err(sram_oob(prog, SramId(mem), first as i64))
 }
 
 impl<'p> Machine<'p> {
     /// Creates a machine with zero-initialized memories for `prog`.
     pub fn new(prog: &'p Program) -> Machine<'p> {
+        let layout = Layout::of(prog);
+        let mut slots = Vec::with_capacity(layout.funcs);
+        slots.extend(prog.params().iter().map(|p| Elem::zero(p.dtype)));
+        slots.extend(prog.regs().iter().map(|r| Elem::zero(r.dtype)));
+        slots.resize(layout.funcs, Elem::I32(0));
         Machine {
             prog,
             drams: prog
@@ -128,10 +279,9 @@ impl<'p> Machine<'p> {
                 .iter()
                 .map(|s| vec![Elem::zero(s.dtype); s.capacity()])
                 .collect(),
-            regs: prog.regs().iter().map(|r| Elem::zero(r.dtype)).collect(),
-            params: prog.params().iter().map(|p| Elem::zero(p.dtype)).collect(),
-            indices: vec![0; prog.num_indices() as usize],
-            cur_work: LeafWork::default(),
+            slots,
+            dims: Vec::new(),
+            lanes: Lanes::default(),
             stats: InterpStats::default(),
         }
     }
@@ -159,17 +309,20 @@ impl<'p> Machine<'p> {
 
     /// Sets a runtime parameter.
     pub fn set_param(&mut self, id: crate::expr::ParamId, v: Elem) {
-        self.params[id.0 as usize] = v;
+        let n = self.prog.params().len();
+        self.slots[..n][id.0 as usize] = v;
     }
 
     /// Sets a register (e.g. to seed an accumulating fold).
     pub fn set_reg(&mut self, id: RegId, v: Elem) {
-        self.regs[id.0 as usize] = v;
+        let l = Layout::of(self.prog);
+        self.slots[l.regs..l.indices][id.0 as usize] = v;
     }
 
     /// Reads a register.
     pub fn reg(&self, id: RegId) -> Elem {
-        self.regs[id.0 as usize]
+        let l = Layout::of(self.prog);
+        self.slots[l.regs..l.indices][id.0 as usize]
     }
 
     /// Executes the whole program.
@@ -190,372 +343,533 @@ impl<'p> Machine<'p> {
     ///
     /// Same as [`Machine::run`].
     pub fn run_traced(&mut self, sink: &mut dyn TraceSink) -> Result<(), RunError> {
-        self.exec_ctrl(self.prog.root(), sink)
+        let prog = self.prog;
+        let layout = Layout::of(prog);
+        self.slots.truncate(layout.funcs);
+        self.dims.clear();
+        let low = Lowered::new(prog, layout, &mut self.slots);
+        self.lanes.reserve(low.rows);
+        self.exec_ctrl(&low, prog.root(), sink)
     }
 
-    fn exec_ctrl(&mut self, id: CtrlId, sink: &mut dyn TraceSink) -> Result<(), RunError> {
-        let ctrl = self.prog.ctrl(id);
-        let dims = self.resolve_cchain(&ctrl.cchain, &ctrl.name)?;
-        match &ctrl.body {
-            CtrlBody::Outer { children, .. } => {
-                let children = children.clone();
-                sink.outer_enter(id);
-                self.iterate(&dims, 0, &mut |m| {
-                    sink.outer_iter(id);
-                    for &c in &children {
-                        m.exec_ctrl(c, sink)?;
-                    }
-                    Ok(())
-                })?;
-                sink.outer_exit(id);
-                Ok(())
-            }
-            CtrlBody::Inner(op) => {
-                let op = op.clone();
-                let name = ctrl.name.clone();
-                self.cur_work = LeafWork::default();
-                self.exec_inner(&name, &dims, &op)?;
-                let work = std::mem::take(&mut self.cur_work);
-                sink.leaf(id, work);
-                Ok(())
-            }
-        }
-    }
-
-    /// Resolves counter bounds to concrete `(index, min, max, stride)` tuples.
-    fn resolve_cchain(
-        &self,
-        cchain: &[Counter],
-        ctrl_name: &str,
-    ) -> Result<Vec<(usize, i64, i64, i64)>, RunError> {
-        cchain
-            .iter()
-            .map(|c| {
-                let min = self.resolve_bound(c.min)?;
-                let max = self.resolve_bound(c.max)?;
-                if c.stride < 1 {
-                    return Err(RunError::BadBound {
-                        ctrl: ctrl_name.to_string(),
-                    });
+    fn exec_ctrl(
+        &mut self,
+        low: &Lowered<'p>,
+        id: CtrlId,
+        sink: &mut dyn TraceSink,
+    ) -> Result<(), RunError> {
+        let node = &low.nodes[id.0 as usize];
+        let base = self.dims.len();
+        self.push_cchain(node.ctrl)?;
+        if let Kind::Outer(children) = node.kind {
+            sink.outer_enter(id);
+            self.for_each_tuple(base, |m| {
+                sink.outer_iter(id);
+                for &c in children {
+                    m.exec_ctrl(low, c, sink)?;
                 }
-                Ok((c.index.0 as usize, min, max, c.stride))
-            })
-            .collect()
+                Ok(())
+            })?;
+            sink.outer_exit(id);
+        } else {
+            let mut work = LeafWork::default();
+            self.exec_leaf(low, node, base, &mut work)?;
+            sink.leaf(id, work);
+        }
+        self.dims.truncate(base);
+        Ok(())
+    }
+
+    /// Resolves a controller's counter bounds onto the counter stack.
+    fn push_cchain(&mut self, ctrl: &Controller) -> Result<(), RunError> {
+        let indices = Layout::of(self.prog).indices;
+        for c in &ctrl.cchain {
+            let min = self.resolve_bound(c.min)?;
+            let max = self.resolve_bound(c.max)?;
+            if c.stride < 1 {
+                return Err(RunError::BadBound {
+                    ctrl: ctrl.name.clone(),
+                });
+            }
+            self.dims.push(Dim {
+                slot: indices + c.index.0 as usize,
+                min,
+                max,
+                stride: c.stride,
+                cur: min,
+            });
+        }
+        Ok(())
     }
 
     fn resolve_bound(&self, b: CBound) -> Result<i64, RunError> {
         Ok(match b {
             CBound::Const(v) => v,
-            CBound::Reg(r) => self.regs[r.0 as usize].as_i32()? as i64,
-            CBound::Param(p) => self.params[p.0 as usize].as_i32()? as i64,
+            CBound::Reg(r) => self.reg(r).as_i32()? as i64,
+            CBound::Param(p) => self.slots[p.0 as usize].as_i32()? as i64,
         })
     }
 
-    /// Nested iteration over resolved counter dims, invoking `act` per tuple.
-    fn iterate(
+    /// Runs `row` once per tuple of the outer counters `dims[base..]`, in
+    /// row-major order with their index slots set, handing it the sweep of
+    /// the innermost counter (a single trip when there are no counters).
+    /// An explicit odometer walks the outer counters, so the per-trip loop
+    /// lives in `row` itself.
+    #[inline(always)]
+    fn for_each_row(
         &mut self,
-        dims: &[(usize, i64, i64, i64)],
-        d: usize,
-        act: &mut dyn FnMut(&mut Self) -> Result<(), RunError>,
+        base: usize,
+        mut row: impl FnMut(&mut Self, Row) -> Result<(), RunError>,
     ) -> Result<(), RunError> {
-        if d == dims.len() {
-            return act(self);
+        let top = self.dims.len();
+        let mut d = base;
+        if d < top {
+            self.dims[d].cur = self.dims[d].min;
         }
-        let (idx, min, max, stride) = dims[d];
-        let mut v = min;
-        while v < max {
-            self.indices[idx] = v;
-            self.iterate(dims, d + 1, act)?;
-            v += stride;
+        loop {
+            if d + 1 < top {
+                let Dim { slot, max, cur, .. } = self.dims[d];
+                if cur < max {
+                    self.slots[slot] = Elem::I32(cur as i32);
+                    d += 1;
+                    self.dims[d].cur = self.dims[d].min;
+                    continue;
+                }
+            } else {
+                let sweep = match self.dims.get(d) {
+                    Some(dim) => Row {
+                        slot: Some(dim.slot),
+                        next: dim.min,
+                        max: dim.max,
+                        stride: dim.stride,
+                    },
+                    None => Row {
+                        slot: None,
+                        next: 0,
+                        max: 1,
+                        stride: 1,
+                    },
+                };
+                row(self, sweep)?;
+            }
+            if d == base {
+                return Ok(());
+            }
+            d -= 1;
+            self.dims[d].cur += self.dims[d].stride;
+        }
+    }
+
+    /// Runs `trip` once per index tuple of the counters `dims[base..]`.
+    #[inline(always)]
+    fn for_each_tuple(
+        &mut self,
+        base: usize,
+        mut trip: impl FnMut(&mut Self) -> Result<(), RunError>,
+    ) -> Result<(), RunError> {
+        self.for_each_row(base, |m, mut row| {
+            while row.advance(&mut m.slots) {
+                trip(m)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Evaluates a lowered function into its slots.
+    #[inline(always)]
+    fn eval(&mut self, low: &Lowered, code: Code) -> Result<(), RunError> {
+        let slots = &mut self.slots[..];
+        for ins in low.ins(code) {
+            match *ins {
+                Ins::Load { dst, mem, at } => {
+                    let off = offset(self.prog, low.lists(), mem, at, |i| slots[i as usize])?;
+                    slots[dst as usize] = self.srams[mem as usize][off];
+                }
+                Ins::Unary { dst, op, a } => {
+                    slots[dst as usize] = eval_unop(op, slots[a as usize])?;
+                }
+                Ins::Binary { dst, op, a, b } => {
+                    slots[dst as usize] = binop(op, slots[a as usize], slots[b as usize])?;
+                }
+                Ins::Mux { dst, c, t, e } => {
+                    let pick = if slots[c as usize].is_truthy() { t } else { e };
+                    slots[dst as usize] = slots[pick as usize];
+                }
+                Ins::Arg { n } => panic!("pattern function reads argument {n}, but none is passed"),
+            }
         }
         Ok(())
     }
 
-    /// Evaluates a function in the current index environment.
-    fn eval(&mut self, fid: FuncId, args: &[Elem]) -> Result<Vec<Elem>, RunError> {
-        let f: &Func = self.prog.func(fid);
-        let mut vals: Vec<Elem> = Vec::with_capacity(f.nodes().len());
-        for node in f.nodes() {
-            let v = match node {
-                Expr::Const(c) => *c,
-                Expr::Index(i) => Elem::I32(self.indices[i.0 as usize] as i32),
-                Expr::Param(p) => self.params[p.0 as usize],
-                Expr::ReadReg(r) => self.regs[r.0 as usize],
-                Expr::Arg(n) => args[*n as usize],
-                Expr::Load { mem, addr } => {
-                    let coords: Vec<i64> = addr
-                        .iter()
-                        .map(|&a| vals[a.0 as usize].as_i32().map(|v| v as i64))
-                        .collect::<Result<_, _>>()?;
-                    let sram = self.prog.sram(*mem);
-                    let off = sram.flatten(&coords).ok_or_else(|| RunError::SramOob {
-                        mem: sram.name.clone(),
-                        addr: *coords.first().unwrap_or(&-1),
-                    })?;
-                    self.srams[mem.0 as usize][off]
-                }
-                Expr::Unary(op, a) => eval_unop(*op, vals[a.0 as usize])?,
-                Expr::Binary(op, a, b) => eval_binop(*op, vals[a.0 as usize], vals[b.0 as usize])?,
-                Expr::Mux(c, t, e) => {
-                    if vals[c.0 as usize].is_truthy() {
-                        vals[t.0 as usize]
-                    } else {
-                        vals[e.0 as usize]
-                    }
-                }
-            };
-            vals.push(v);
-        }
-        Ok(f.outputs().iter().map(|&o| vals[o.0 as usize]).collect())
+    /// The first output of a lowered scalar function.
+    fn eval_scalar(&mut self, low: &Lowered, code: Code) -> Result<Elem, RunError> {
+        self.eval(low, code)?;
+        Ok(self.slots[low.outs(code)[0] as usize])
     }
 
-    fn eval_scalar(&mut self, fid: FuncId) -> Result<Elem, RunError> {
-        Ok(self.eval(fid, &[])?[0])
+    #[cold]
+    fn dram_oob(&self, id: DramId, addr: i64) -> RunError {
+        RunError::DramOob {
+            mem: self.prog.dram(id).name.clone(),
+            addr,
+        }
+    }
+
+    /// Applies one lowered pipe write.
+    #[inline(always)]
+    fn write(&mut self, low: &Lowered, w: &Write) -> Result<(), RunError> {
+        self.eval(low, w.addr)?;
+        let slots = &self.slots;
+        let off = offset(self.prog, low.lists(), w.mem, w.at, |i| slots[i as usize])?;
+        let v = self.slots[w.value as usize];
+        self.store(w, off, v)
+    }
+
+    /// Stores `v` at `off` of the write's scratchpad, by its mode.
+    #[inline(always)]
+    fn store(&mut self, w: &Write, off: usize, v: Elem) -> Result<(), RunError> {
+        let cell = &mut self.srams[w.mem as usize][off];
+        *cell = match w.mode {
+            WriteMode::Overwrite => v,
+            WriteMode::Accumulate(op) => binop(op, *cell, v)?,
+        };
+        self.stats.sram_writes += 1;
+        Ok(())
     }
 
     fn sram_write_linear(&mut self, id: SramId, off: i64, v: Elem) -> Result<(), RunError> {
-        let buf = &mut self.srams[id.0 as usize];
-        if off < 0 || off as usize >= buf.len() {
-            return Err(RunError::SramOob {
-                mem: self.prog.sram(id).name.clone(),
-                addr: off,
-            });
+        match usize::try_from(off)
+            .ok()
+            .and_then(|o| self.srams[id.0 as usize].get_mut(o))
+        {
+            Some(cell) => {
+                *cell = v;
+                Ok(())
+            }
+            None => Err(sram_oob(self.prog, id, off)),
         }
-        buf[off as usize] = v;
-        Ok(())
     }
 
     fn sram_read_linear(&self, id: SramId, off: i64) -> Result<Elem, RunError> {
-        let buf = &self.srams[id.0 as usize];
-        if off < 0 || off as usize >= buf.len() {
-            return Err(RunError::SramOob {
-                mem: self.prog.sram(id).name.clone(),
-                addr: off,
-            });
+        match usize::try_from(off)
+            .ok()
+            .and_then(|o| self.srams[id.0 as usize].get(o))
+        {
+            Some(v) => Ok(*v),
+            None => Err(sram_oob(self.prog, id, off)),
         }
-        Ok(buf[off as usize])
     }
 
     fn dram_read(&self, id: DramId, off: i64) -> Result<Elem, RunError> {
-        let buf = &self.drams[id.0 as usize];
-        if off < 0 || off as usize >= buf.len() {
-            return Err(RunError::DramOob {
-                mem: self.prog.dram(id).name.clone(),
-                addr: off,
-            });
+        match usize::try_from(off)
+            .ok()
+            .and_then(|o| self.drams[id.0 as usize].get(o))
+        {
+            Some(v) => Ok(*v),
+            None => Err(self.dram_oob(id, off)),
         }
-        Ok(buf[off as usize])
     }
 
     fn dram_write(&mut self, id: DramId, off: i64, v: Elem) -> Result<(), RunError> {
-        let buf = &mut self.drams[id.0 as usize];
-        if off < 0 || off as usize >= buf.len() {
-            return Err(RunError::DramOob {
-                mem: self.prog.dram(id).name.clone(),
-                addr: off,
-            });
-        }
-        buf[off as usize] = v;
-        Ok(())
-    }
-
-    /// Applies one pipe write given already-evaluated body outputs.
-    fn apply_write(&mut self, w: &PipeWrite, outs: &[Elem]) -> Result<(), RunError> {
-        let coords: Vec<i64> = self
-            .eval(w.addr, &[])?
-            .iter()
-            .map(|e| e.as_i32().map(|v| v as i64))
-            .collect::<Result<_, _>>()?;
-        let sram = self.prog.sram(w.sram);
-        let off = sram.flatten(&coords).ok_or_else(|| RunError::SramOob {
-            mem: sram.name.clone(),
-            addr: *coords.first().unwrap_or(&-1),
-        })? as i64;
-        let v = outs[w.value_slot];
-        let stored = match w.mode {
-            WriteMode::Overwrite => v,
-            WriteMode::Accumulate(op) => {
-                let old = self.sram_read_linear(w.sram, off)?;
-                eval_binop(op, old, v)?
+        match usize::try_from(off)
+            .ok()
+            .and_then(|o| self.drams[id.0 as usize].get_mut(o))
+        {
+            Some(cell) => {
+                *cell = v;
+                Ok(())
             }
-        };
-        self.stats.sram_writes += 1;
-        self.sram_write_linear(w.sram, off, stored)
-    }
-
-    fn exec_inner(
-        &mut self,
-        name: &str,
-        dims: &[(usize, i64, i64, i64)],
-        op: &InnerOp,
-    ) -> Result<(), RunError> {
-        match op {
-            InnerOp::Map(m) => self.exec_map(dims, m),
-            InnerOp::Fold(f) => self.exec_fold(name, dims, f),
-            InnerOp::Filter(f) => self.exec_filter(name, dims, f),
-            InnerOp::RegWrite(rw) => self.exec_regwrite(dims, rw),
-            InnerOp::LoadTile(t) => self.exec_tuplewise(dims, &mut |m| m.load_tile(t)),
-            InnerOp::StoreTile(t) => self.exec_tuplewise(dims, &mut |m| m.store_tile(t)),
-            InnerOp::Gather(g) => self.exec_tuplewise(dims, &mut |m| m.gather(g)),
-            InnerOp::Scatter(s) => self.exec_tuplewise(dims, &mut |m| m.scatter(s)),
+            None => Err(self.dram_oob(id, off)),
         }
     }
 
-    fn exec_tuplewise(
+    /// Runs one leaf invocation over its counters `dims[base..]`.
+    fn exec_leaf(
         &mut self,
-        dims: &[(usize, i64, i64, i64)],
-        act: &mut dyn FnMut(&mut Self) -> Result<(), RunError>,
+        low: &Lowered<'p>,
+        node: &Node<'p>,
+        base: usize,
+        work: &mut LeafWork,
     ) -> Result<(), RunError> {
-        self.iterate(dims, 0, act)
-    }
-
-    fn exec_map(&mut self, dims: &[(usize, i64, i64, i64)], m: &MapPipe) -> Result<(), RunError> {
-        self.iterate(dims, 0, &mut |s| {
-            s.stats.body_invocations += 1;
-            s.cur_work.trips += 1;
-            let outs = s.eval(m.body, &[])?;
-            for w in &m.writes {
-                s.apply_write(w, &outs)?;
+        let name = &node.ctrl.name;
+        match &node.kind {
+            Kind::Outer(_) => unreachable!("outer controllers are not leaves"),
+            Kind::Map {
+                body,
+                writes,
+                block,
+            } => self.exec_pattern(
+                base,
+                work,
+                block.as_ref(),
+                |m, blk, n| m.map_lanes(blk, writes, n),
+                |m| {
+                    m.eval(low, *body)?;
+                    writes.iter().try_for_each(|w| m.write(low, w))
+                },
+            ),
+            Kind::Fold {
+                map,
+                pipe,
+                acc,
+                writes,
+                block,
+            } => self.exec_fold(
+                low,
+                base,
+                name,
+                (*map, block.as_ref()),
+                pipe,
+                *acc as usize,
+                writes,
+                work,
+            ),
+            Kind::Filter {
+                body,
+                out,
+                count_reg,
+            } => {
+                let outs = low.outs(*body);
+                let (vals, pred) = outs.split_at(outs.len() - 1);
+                let k = vals.len();
+                let cap = self.srams[out.0 as usize].len();
+                let mut count: i64 = 0;
+                let no_lanes = |_: &mut Self, _: &Block, _| Ok(());
+                self.exec_pattern(base, work, None, no_lanes, |m| {
+                    m.eval(low, *body)?;
+                    if m.slots[pred[0] as usize].is_truthy() {
+                        if (count as usize + 1) * k > cap {
+                            return Err(RunError::FilterOverflow { ctrl: name.clone() });
+                        }
+                        for (j, &s) in vals.iter().enumerate() {
+                            m.stats.sram_writes += 1;
+                            let v = m.slots[s as usize];
+                            m.sram_write_linear(*out, count * k as i64 + j as i64, v)?;
+                        }
+                        count += 1;
+                    }
+                    Ok(())
+                })?;
+                work.emitted = count as u64;
+                self.slots[*count_reg as usize] = Elem::I32(count as i32);
+                Ok(())
             }
-            Ok(())
-        })
+            Kind::RegWrite { func, reg } => {
+                let (out, reg) = (low.outs(*func)[0] as usize, *reg as usize);
+                self.for_each_tuple(base, |m| {
+                    work.trips += 1;
+                    m.eval(low, *func)?;
+                    m.slots[reg] = m.slots[out];
+                    Ok(())
+                })
+            }
+            Kind::LoadTile(b, t) => self.for_each_tuple(base, |m| m.load_tile(low, *b, t, work)),
+            Kind::StoreTile(b, t) => self.for_each_tuple(base, |m| m.store_tile(low, *b, t, work)),
+            Kind::Gather(b, g) => self.for_each_tuple(base, |m| m.gather(low, *b, g, work)),
+            Kind::Scatter(b, s) => self.for_each_tuple(base, |m| m.scatter(low, *b, s, work)),
+        }
     }
 
+    /// Sweeps a compute pipe's counters, counting each index tuple as a
+    /// trip and a body invocation (the failing one included). With a
+    /// `block`, full blocks of the innermost counter are evaluated together
+    /// and `apply` then performs their effects in trip order; short tails
+    /// and blocks that failed to evaluate run `body` one trip at a time.
+    #[inline(always)]
+    fn exec_pattern(
+        &mut self,
+        base: usize,
+        work: &mut LeafWork,
+        block: Option<&Block>,
+        mut apply: impl FnMut(&mut Self, &Block, usize) -> Result<(), (usize, RunError)>,
+        mut body: impl FnMut(&mut Self) -> Result<(), RunError>,
+    ) -> Result<(), RunError> {
+        let mut trips = 0u64;
+        let swept = self.for_each_row(base, |m, mut row| {
+            let mut broadcast = false;
+            loop {
+                let n = row.pending();
+                if n == 0 {
+                    return Ok(());
+                }
+                if let Some(blk) = block.filter(|_| n >= MIN_BLOCK) {
+                    if !broadcast {
+                        m.broadcast(blk);
+                        broadcast = true;
+                    }
+                    if m.eval_block(blk, row.next, row.stride, n) {
+                        row.skip(n);
+                        if let Err((ran, e)) = apply(m, blk, n) {
+                            trips += ran as u64;
+                            return Err(e);
+                        }
+                        trips += n as u64;
+                        continue;
+                    }
+                }
+                for _ in 0..n {
+                    row.advance(&mut m.slots);
+                    trips += 1;
+                    body(m)?;
+                }
+            }
+        });
+        self.stats.body_invocations += trips;
+        work.trips += trips;
+        swept
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn exec_fold(
         &mut self,
+        low: &Lowered<'p>,
+        base: usize,
         name: &str,
-        dims: &[(usize, i64, i64, i64)],
-        f: &FoldPipe,
+        (map, block): (Code, Option<&Block>),
+        pipe: &FoldPipe,
+        acc: usize,
+        writes: &[Write],
+        work: &mut LeafWork,
     ) -> Result<(), RunError> {
-        let n = f.combine.len();
-        let mut acc: Vec<Elem> = Vec::with_capacity(n);
-        for (slot, init) in f.init.iter().enumerate() {
-            match init {
-                FoldInit::Const(v) => acc.push(*v),
+        for (slot, init) in pipe.init.iter().enumerate() {
+            self.slots[acc + slot] = match init {
+                FoldInit::Const(v) => *v,
                 FoldInit::Resume => {
-                    let reg = f.out_regs[slot].ok_or_else(|| RunError::ResumeWithoutReg {
+                    let reg = pipe.out_regs[slot].ok_or_else(|| RunError::ResumeWithoutReg {
                         ctrl: name.to_string(),
                     })?;
-                    acc.push(self.regs[reg.0 as usize]);
+                    self.reg(reg)
                 }
-            }
+            };
         }
-        self.iterate(dims, 0, &mut |s| {
-            s.stats.body_invocations += 1;
-            s.cur_work.trips += 1;
-            let outs = s.eval(f.map, &[])?;
-            for slot in 0..n {
-                acc[slot] = eval_binop(f.combine[slot], acc[slot], outs[slot])?;
+        let outs = low.outs(map);
+        let apply = |m: &mut Self, blk: &Block, n| m.fold_lanes(blk, &pipe.combine, acc, n);
+        self.exec_pattern(base, work, block, apply, |m| {
+            m.eval(low, map)?;
+            // Slot by slot, in index order: f32 sums are never reassociated.
+            for (k, (&op, &o)) in pipe.combine.iter().zip(outs).enumerate() {
+                let v = m.slots[o as usize];
+                let a = &mut m.slots[acc + k];
+                *a = binop(op, *a, v)?;
             }
             Ok(())
         })?;
-        for (slot, reg) in f.out_regs.iter().enumerate() {
+        let layout = Layout::of(self.prog);
+        for (slot, reg) in pipe.out_regs.iter().enumerate() {
             if let Some(r) = reg {
-                self.regs[r.0 as usize] = acc[slot];
+                self.slots[layout.reg(*r)] = self.slots[acc + slot];
             }
         }
-        for w in &f.writes {
-            self.apply_write(w, &acc)?;
-        }
-        Ok(())
+        writes.iter().try_for_each(|w| self.write(low, w))
     }
 
-    fn exec_filter(
+    /// Copies a dense tile from DRAM, one bounds check and one slice copy
+    /// per row. On an out-of-bounds row the valid prefix is still copied
+    /// and the error names the first failing element.
+    fn load_tile(
         &mut self,
-        name: &str,
-        dims: &[(usize, i64, i64, i64)],
-        f: &FilterPipe,
+        low: &Lowered,
+        base: Code,
+        t: &TileTransfer,
+        work: &mut LeafWork,
     ) -> Result<(), RunError> {
-        let k = self.prog.func(f.body).outputs().len() - 1;
-        let cap = self.prog.sram(f.out).capacity();
-        let mut count: i64 = 0;
-        self.iterate(dims, 0, &mut |s| {
-            s.stats.body_invocations += 1;
-            s.cur_work.trips += 1;
-            let outs = s.eval(f.body, &[])?;
-            if outs[k].is_truthy() {
-                if (count as usize + 1) * k > cap {
-                    return Err(RunError::FilterOverflow {
-                        ctrl: name.to_string(),
-                    });
-                }
-                for (j, &v) in outs[..k].iter().enumerate() {
-                    s.stats.sram_writes += 1;
-                    s.sram_write_linear(f.out, count * k as i64 + j as i64, v)?;
-                }
-                count += 1;
-            }
-            Ok(())
-        })?;
-        self.cur_work.emitted = count as u64;
-        self.regs[f.count_reg.0 as usize] = Elem::I32(count as i32);
-        Ok(())
-    }
-
-    fn exec_regwrite(
-        &mut self,
-        dims: &[(usize, i64, i64, i64)],
-        rw: &RegWrite,
-    ) -> Result<(), RunError> {
-        self.iterate(dims, 0, &mut |s| {
-            s.cur_work.trips += 1;
-            let v = s.eval_scalar(rw.func)?;
-            s.regs[rw.reg.0 as usize] = v;
-            Ok(())
-        })
-    }
-
-    fn load_tile(&mut self, t: &TileTransfer) -> Result<(), RunError> {
-        let base = self.eval_scalar(t.dram_base)?.as_i32()? as i64;
+        let base = self.eval_scalar(low, base)?.as_i32()? as i64;
+        let (dram, sram) = (
+            &self.drams[t.dram.0 as usize],
+            &mut self.srams[t.sram.0 as usize],
+        );
         for r in 0..t.rows {
-            self.cur_work.dram.push(DramRange {
+            let start = base + (r * t.dram_row_stride) as i64;
+            work.dram.push(DramRange {
                 dram: t.dram,
-                offset: base + (r * t.dram_row_stride) as i64,
+                offset: start,
                 len: t.cols as u32,
                 is_write: false,
             });
-            self.cur_work.trips += t.cols as u64;
-            for c in 0..t.cols {
-                let v = self.dram_read(t.dram, base + (r * t.dram_row_stride + c) as i64)?;
+            work.trips += t.cols as u64;
+            let at = r * t.cols;
+            let d_ok = in_bounds(start, t.cols, dram.len());
+            let s_ok = in_bounds(at as i64, t.cols, sram.len());
+            let n = d_ok.min(s_ok);
+            if n > 0 {
+                let s = start as usize;
+                sram[at..at + n].copy_from_slice(&dram[s..s + n]);
+            }
+            self.stats.dram_reads += n as u64;
+            if n < t.cols {
+                // Each element is read from DRAM, then written on chip.
+                if d_ok == n {
+                    return Err(self.dram_oob(t.dram, start + n as i64));
+                }
                 self.stats.dram_reads += 1;
-                self.sram_write_linear(t.sram, (r * t.cols + c) as i64, v)?;
+                return Err(sram_oob(self.prog, t.sram, (at + n) as i64));
             }
         }
         Ok(())
     }
 
-    fn store_tile(&mut self, t: &TileTransfer) -> Result<(), RunError> {
-        let base = self.eval_scalar(t.dram_base)?.as_i32()? as i64;
+    /// Copies a dense tile to DRAM row by row, like [`Self::load_tile`].
+    fn store_tile(
+        &mut self,
+        low: &Lowered,
+        base: Code,
+        t: &TileTransfer,
+        work: &mut LeafWork,
+    ) -> Result<(), RunError> {
+        let base = self.eval_scalar(low, base)?.as_i32()? as i64;
+        let (dram, sram) = (
+            &mut self.drams[t.dram.0 as usize],
+            &self.srams[t.sram.0 as usize],
+        );
         for r in 0..t.rows {
-            self.cur_work.dram.push(DramRange {
+            let start = base + (r * t.dram_row_stride) as i64;
+            work.dram.push(DramRange {
                 dram: t.dram,
-                offset: base + (r * t.dram_row_stride) as i64,
+                offset: start,
                 len: t.cols as u32,
                 is_write: true,
             });
-            self.cur_work.trips += t.cols as u64;
-            for c in 0..t.cols {
-                let v = self.sram_read_linear(t.sram, (r * t.cols + c) as i64)?;
+            work.trips += t.cols as u64;
+            let at = r * t.cols;
+            let d_ok = in_bounds(start, t.cols, dram.len());
+            let s_ok = in_bounds(at as i64, t.cols, sram.len());
+            let n = d_ok.min(s_ok);
+            if n > 0 {
+                let s = start as usize;
+                dram[s..s + n].copy_from_slice(&sram[at..at + n]);
+            }
+            self.stats.dram_writes += n as u64;
+            if n < t.cols {
+                // Each element is read on chip, counted, then written out.
+                if s_ok == n {
+                    return Err(sram_oob(self.prog, t.sram, (at + n) as i64));
+                }
                 self.stats.dram_writes += 1;
-                self.dram_write(t.dram, base + (r * t.dram_row_stride + c) as i64, v)?;
+                return Err(self.dram_oob(t.dram, start + n as i64));
             }
         }
         Ok(())
     }
 
-    fn gather(&mut self, g: &GatherOp) -> Result<(), RunError> {
-        let base = self.eval_scalar(g.base)?.as_i32()? as i64;
+    fn gather(
+        &mut self,
+        low: &Lowered,
+        base: Code,
+        g: &GatherOp,
+        work: &mut LeafWork,
+    ) -> Result<(), RunError> {
+        let base = self.eval_scalar(low, base)?.as_i32()? as i64;
         let len = self.resolve_bound(g.len)?;
         let ib = self.resolve_bound(g.idx_base)?;
         for i in 0..len {
             let idx = self.sram_read_linear(g.indices, ib + i)?.as_i32()? as i64;
-            self.cur_work.dram.push(DramRange {
+            work.dram.push(DramRange {
                 dram: g.dram,
                 offset: base + idx,
                 len: 1,
                 is_write: false,
             });
-            self.cur_work.trips += 1;
+            work.trips += 1;
             let v = self.dram_read(g.dram, base + idx)?;
             self.stats.dram_reads += 1;
             self.sram_write_linear(g.dst, i, v)?;
@@ -563,19 +877,25 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    fn scatter(&mut self, s: &ScatterOp) -> Result<(), RunError> {
-        let base = self.eval_scalar(s.base)?.as_i32()? as i64;
+    fn scatter(
+        &mut self,
+        low: &Lowered,
+        base: Code,
+        s: &ScatterOp,
+        work: &mut LeafWork,
+    ) -> Result<(), RunError> {
+        let base = self.eval_scalar(low, base)?.as_i32()? as i64;
         let len = self.resolve_bound(s.len)?;
         let ib = self.resolve_bound(s.idx_base)?;
         for i in 0..len {
             let idx = self.sram_read_linear(s.indices, ib + i)?.as_i32()? as i64;
-            self.cur_work.dram.push(DramRange {
+            work.dram.push(DramRange {
                 dram: s.dram,
                 offset: base + idx,
                 len: 1,
                 is_write: true,
             });
-            self.cur_work.trips += 1;
+            work.trips += 1;
             let v = self.sram_read_linear(s.src, i)?;
             self.stats.dram_writes += 1;
             self.dram_write(s.dram, base + idx, v)?;
@@ -587,8 +907,9 @@ impl<'p> Machine<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctrl::Schedule;
+    use crate::ctrl::{FilterPipe, InnerOp, MapPipe, PipeWrite, RegWrite, Schedule};
     use crate::expr::BinOp;
+    use crate::expr::Func;
     use crate::program::ProgramBuilder;
     use crate::types::DType;
 

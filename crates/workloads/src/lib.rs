@@ -152,23 +152,38 @@ impl Bench {
     }
 }
 
+/// Builds a benchmark at a scale.
+type Builder = fn(Scale) -> Bench;
+
+/// The thirteen benchmarks of Table 4, by name, in table order.
+const REGISTRY: [(&str, Builder); 13] = [
+    ("InnerProduct", dense::inner_product),
+    ("OuterProduct", dense::outer_product),
+    ("BlackScholes", dense::black_scholes),
+    ("TPCHQ6", dense::tpchq6),
+    ("GEMM", gemm::gemm),
+    ("GDA", ml::gda),
+    ("LogReg", ml::logreg),
+    ("SGD", ml::sgd),
+    ("Kmeans", ml::kmeans),
+    ("CNN", cnn::cnn),
+    ("SMDV", sparse::smdv),
+    ("PageRank", sparse::pagerank),
+    ("BFS", sparse::bfs),
+];
+
 /// All thirteen benchmarks of Table 4 at one scale.
 pub fn all(scale: Scale) -> Vec<Bench> {
-    vec![
-        dense::inner_product(scale),
-        dense::outer_product(scale),
-        dense::black_scholes(scale),
-        dense::tpchq6(scale),
-        gemm::gemm(scale),
-        ml::gda(scale),
-        ml::logreg(scale),
-        ml::sgd(scale),
-        ml::kmeans(scale),
-        cnn::cnn(scale),
-        sparse::smdv(scale),
-        sparse::pagerank(scale),
-        sparse::bfs(scale),
-    ]
+    REGISTRY.iter().map(|(_, build)| build(scale)).collect()
+}
+
+/// The benchmark named `name` (Table 4 spelling, any case) at `scale`, or
+/// `None` for an unknown name. Only that benchmark is built.
+pub fn by_name(name: &str, scale: Scale) -> Option<Bench> {
+    REGISTRY
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build(scale))
 }
 
 /// The dense subset (used by experiments that exclude sparse apps).
@@ -185,4 +200,26 @@ pub fn dense_suite(scale: Scale) -> Vec<Bench> {
         ml::kmeans(scale),
         cnn::cnn(scale),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_names_are_the_benches_names() {
+        for (bench, (name, _)) in all(Scale::tiny()).iter().zip(REGISTRY) {
+            assert_eq!(bench.name, name);
+        }
+    }
+
+    #[test]
+    fn by_name_ignores_case_and_builds_the_same_bench() {
+        let b = by_name("gemm", Scale::tiny()).expect("GEMM is registered");
+        let want = gemm::gemm(Scale::tiny());
+        assert_eq!(b.name, "GEMM");
+        assert_eq!(b.program, want.program);
+        assert_eq!(b.inputs, want.inputs);
+        assert!(by_name("no-such-bench", Scale::tiny()).is_none());
+    }
 }

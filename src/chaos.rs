@@ -34,7 +34,7 @@ use plasticine_sim::{
     simulate_checkpointed, Checkpoint, CheckpointPolicy, ExitStatus, MultiSim, SimError,
     SimOptions, SimResult,
 };
-use plasticine_workloads::{all, Bench, Scale};
+use plasticine_workloads::{by_name, Bench, Scale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -362,10 +362,7 @@ impl SoakReport {
 
 /// Resolves a benchmark by canonical name at a scale.
 fn find_bench(name: &str, scale: usize) -> Result<Bench, String> {
-    all(Scale(scale))
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown benchmark `{name}`"))
+    by_name(name, Scale(scale)).ok_or_else(|| format!("unknown benchmark `{name}`"))
 }
 
 /// The soak's per-seed fault timeline: a fixed mixed-fault spec (unit and

@@ -30,7 +30,7 @@
 //! observability.
 
 use super::metrics::{Metrics, TenantEvent};
-use super::stats_with_bench;
+use super::{env_lists_bench, stats_with_bench};
 use plasticine_arch::{
     FaultMap, FaultTimeline, GridMix, HealthMap, Partition, PartitionTable, PlasticineParams,
     Topology,
@@ -41,7 +41,7 @@ use plasticine_ppir::Machine;
 use plasticine_sim::{
     Advance, Checkpoint, DegradedReport, SimError, SimKernel, SimOptions, StepMode,
 };
-use plasticine_workloads::{all, Bench, Scale};
+use plasticine_workloads::{by_name, Bench, Scale};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -108,6 +108,8 @@ struct TenantEntry {
     checkpoint: Option<Checkpoint>,
     cycles: u64,
     preemptions: u64,
+    /// The cycle the latest eviction checkpointed the tenant at.
+    evicted_at: u64,
     /// This waiting tenant already triggered one preemption sweep;
     /// never fire a second for it (livelock guard).
     preempt_fired: bool,
@@ -213,6 +215,7 @@ impl FabricScheduler {
             checkpoint: None,
             cycles: 0,
             preemptions: 0,
+            evicted_at: 0,
             preempt_fired: false,
             evict_requested: false,
             preempted: false,
@@ -297,9 +300,14 @@ impl FabricScheduler {
         }
         t.evict_requested = true;
         t.preempted = false;
+        let before = t.preemptions;
         self.cv.notify_all();
         let deadline = Instant::now() + wait;
-        while g.tenants[id].phase == Phase::Running {
+        // An evicted tenant may be readmitted (and even finish) before
+        // this thread wakes, so a landed eviction shows in the preemption
+        // count, not only in the phase.
+        let landed = |t: &TenantEntry| t.preemptions > before;
+        while g.tenants[id].phase == Phase::Running && !landed(&g.tenants[id]) {
             let now = Instant::now();
             if now >= deadline {
                 return Err(format!(
@@ -311,12 +319,17 @@ impl FabricScheduler {
             g = guard;
         }
         let t = &g.tenants[id];
+        let (cycle, resumable) = if landed(t) {
+            (t.evicted_at, true)
+        } else {
+            (t.cycles, t.checkpoint.is_some())
+        };
         Ok(vec![
             ("tenant".to_string(), Json::from(id)),
             ("bench".to_string(), Json::from(t.spec.bench.clone())),
             ("state".to_string(), Json::from(t.phase.name())),
-            ("cycle".to_string(), Json::from(t.cycles)),
-            ("resumable".to_string(), Json::from(t.checkpoint.is_some())),
+            ("cycle".to_string(), Json::from(cycle)),
+            ("resumable".to_string(), Json::from(resumable)),
         ])
     }
 
@@ -353,6 +366,23 @@ struct Resident {
     kernel: Box<SimKernel>,
     bench: Bench,
     weight: u64,
+    /// Admitted [`held`]: parks once past its first quantum.
+    hold: bool,
+}
+
+/// Test hook (`PLASTICINE_TEST_HOLD=<bench>`): a tenant of that bench that
+/// was never preempted stops advancing once past its first quantum, and no
+/// other tenant is admitted, until an eviction takes it off the fabric. A
+/// test can then evict it mid-run however fast the host is, and knows
+/// which bands every tenant lands on.
+fn held(t: &TenantEntry) -> bool {
+    t.preemptions == 0 && env_lists_bench("PLASTICINE_TEST_HOLD", &t.spec.bench)
+}
+
+impl Resident {
+    fn parked(&self) -> bool {
+        self.hold && self.kernel.now() > 0
+    }
 }
 
 /// What one pass over the shared state decided the scheduler thread
@@ -407,7 +437,7 @@ pub fn scheduler_loop(
                 if plan_preemption(&mut g, &residents) {
                     continue; // eviction requests were just filed
                 }
-                if !residents.is_empty() {
+                if residents.values().any(|r| !r.parked()) {
                     break Decision::Advance;
                 }
                 g = f.cv.wait(g).unwrap();
@@ -430,6 +460,7 @@ pub fn scheduler_loop(
                     metrics.record_tenant(&t.spec.bench, event);
                     t.checkpoint = Some(c);
                     t.cycles = cycle;
+                    t.evicted_at = cycle;
                     t.phase = Phase::Queued;
                     t.preemptions += 1;
                     t.evict_requested = false;
@@ -451,11 +482,12 @@ pub fn scheduler_loop(
                         &a.faults,
                         a.resume.as_ref(),
                     ) {
-                        Ok(r) => {
-                            residents.insert(a.id, r);
+                        Ok(mut r) => {
                             metrics.record_tenant(&a.spec.bench, TenantEvent::Admitted);
                             let mut g = f.state.lock().unwrap();
                             let t = &mut g.tenants[a.id];
+                            r.hold = held(t);
+                            residents.insert(a.id, r);
                             if t.healing {
                                 // The degraded tenant is back on the
                                 // fabric: count the heal, and the
@@ -479,7 +511,7 @@ pub fn scheduler_loop(
                 let mut finished: Vec<usize> = Vec::new();
                 let mut failed: Vec<(usize, String)> = Vec::new();
                 let mut degraded: Vec<(usize, Box<DegradedReport>)> = Vec::new();
-                for (&id, r) in residents.iter_mut() {
+                for (&id, r) in residents.iter_mut().filter(|(_, r)| !r.parked()) {
                     let target = r.kernel.now() + r.weight * QUANTUM;
                     match r.kernel.advance(Some(target), None) {
                         Ok(Advance::Finished) => finished.push(id),
@@ -570,6 +602,13 @@ fn plan_admissions(g: &mut FabricState) -> Vec<Admission> {
     let mut still_pending = VecDeque::new();
     let mut queue = std::mem::take(&mut g.pending);
     while let Some(id) = queue.pop_front() {
+        if g.tenants
+            .iter()
+            .any(|t| t.phase == Phase::Running && held(t))
+        {
+            still_pending.push_back(id);
+            continue;
+        }
         let (rows, channels, anchor) = {
             let t = &g.tenants[id];
             // A checkpointed tenant must land on a band its bitstream
@@ -732,9 +771,7 @@ fn build_resident(
     faults: &FaultMap,
     resume: Option<&Checkpoint>,
 ) -> Result<Resident, String> {
-    let bench = all(Scale(spec.scale))
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(&spec.bench))
+    let bench = by_name(&spec.bench, Scale(spec.scale))
         .ok_or_else(|| format!("unknown benchmark `{}`", spec.bench))?;
     let copts = CompileOptions {
         partition: Some(band),
@@ -771,6 +808,7 @@ fn build_resident(
         kernel: Box::new(kernel),
         bench,
         weight: band.channels as u64,
+        hold: false,
     })
 }
 

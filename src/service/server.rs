@@ -54,7 +54,7 @@ use plasticine_sim::{
     simulate, simulate_checkpointed, Checkpoint, CheckpointPolicy, ExitStatus, SimError,
     SimOptions, SimResult, StepMode,
 };
-use plasticine_workloads::{all, Bench, Scale};
+use plasticine_workloads::{all, by_name, Bench, Scale};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -609,15 +609,12 @@ fn submit_tenant(shared: &Shared, req: &Request) -> Result<Vec<(String, Json)>, 
     let scale = req.scale.unwrap_or(d.scale);
     // Resolve to the canonical name now so a typo fails the submission,
     // not the scheduler thread later.
-    let bench = all(Scale(scale))
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            Failure::new(
-                ExitStatus::Runtime,
-                format!("unknown benchmark `{name}` (try `plasticine-run list`)"),
-            )
-        })?;
+    let bench = by_name(name, Scale(scale)).ok_or_else(|| {
+        Failure::new(
+            ExitStatus::Runtime,
+            format!("unknown benchmark `{name}` (try `plasticine-run list`)"),
+        )
+    })?;
     let channels = req.channels.unwrap_or(1);
     // Sample the tenant's fault-arrival schedule now so a malformed spec
     // fails the submission, not the scheduler thread later. Channel
@@ -682,17 +679,14 @@ fn resolve_faults(shared: &Shared, req: &Request) -> Result<(FaultMap, u64), Fai
 fn resolve_bench(shared: &Shared, req: &Request, name: &str) -> Result<Eff, Failure> {
     let d = &shared.opts.defaults;
     let scale = req.scale.unwrap_or(d.scale);
-    let bench = all(Scale(scale))
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            // Mirrors the one-shot CLI, where an unknown benchmark is
-            // exit 1, not a usage error.
-            Failure::new(
-                ExitStatus::Runtime,
-                format!("unknown benchmark `{name}` (try `plasticine-run list`)"),
-            )
-        })?;
+    let bench = by_name(name, Scale(scale)).ok_or_else(|| {
+        // Mirrors the one-shot CLI, where an unknown benchmark is
+        // exit 1, not a usage error.
+        Failure::new(
+            ExitStatus::Runtime,
+            format!("unknown benchmark `{name}` (try `plasticine-run list`)"),
+        )
+    })?;
     let (faults, seed) = resolve_faults(shared, req)?;
     Ok(Eff {
         bench,

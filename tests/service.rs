@@ -444,7 +444,11 @@ fn served_batch_contains_per_bench_failures() {
 #[test]
 fn submitted_tenants_match_partitioned_oneshot_and_survive_eviction() {
     let dir = scratch("svc-tenants");
-    let daemon = Daemon::start(&dir, &[], &[]);
+    // GEMM parks at a quantum boundary after its first quantum, and BFS
+    // waits for admission, until the eviction below lands: GEMM is still
+    // running when the evict arrives however fast or loaded the host is,
+    // and BFS then takes the band GEMM vacated.
+    let daemon = Daemon::start(&dir, &[], &[("PLASTICINE_TEST_HOLD", "GEMM")]);
     let mut c = daemon.connect();
 
     for (id, bench) in [("t0", "GEMM"), ("t1", "BFS")] {
