@@ -141,10 +141,11 @@ pub(crate) struct Channel {
     inflight: Vec<Completion>,
     data_bus_free: u64,
     /// Every tick strictly before this cycle is a known no-op: after a tick
-    /// that changed nothing, this caches [`next_event`](Self::next_event)
-    /// (whose bound is sound — see its doc), and [`push`](Self::push) resets
+    /// that changed nothing, this caches the exact event bound (see
+    /// [`next_event`](Self::next_event)), and [`push`](Self::push) resets
     /// it. Lets the per-cycle tick loop skip the command-scheduler scans
-    /// while the channel merely waits out DRAM timing windows.
+    /// while the channel merely waits out DRAM timing windows, and answers
+    /// `next_event` without a queue scan while it lies in the future.
     quiet_until: u64,
     pub(crate) stats: ChannelStats,
 }
@@ -216,9 +217,9 @@ impl Channel {
         }
         // A tick that changed nothing leaves the channel purely waiting out
         // timing windows; everything it could do next is time-driven, so the
-        // (sound) event bound marks every tick before it a no-op.
+        // event bound marks every tick before it a no-op.
         if !issued && out.len() == before && self.stats.refreshes == refreshes {
-            self.quiet_until = self.next_event(now + 1);
+            self.quiet_until = self.scan_next_event(now + 1);
         }
     }
 
@@ -263,6 +264,15 @@ impl Channel {
         true
     }
 
+    /// Last cycle at which FR-FCFS may reorder past the oldest queued
+    /// request (`u64::MAX` with an empty queue). After it the starvation
+    /// guard lets only that request issue.
+    fn guard_horizon(&self) -> u64 {
+        self.queue
+            .front()
+            .map_or(u64::MAX, |p| p.arrival.saturating_add(self.max_age))
+    }
+
     /// Issues at most one DRAM command this cycle (shared command bus).
     /// Returns whether a command issued.
     fn issue_one(&mut self, now: u64) -> bool {
@@ -270,8 +280,11 @@ impl Channel {
             return false;
         }
         // Starvation guard: if the oldest request is overage, schedule only it.
-        let overage = now.saturating_sub(self.queue[0].arrival) > self.max_age;
-        let limit = if overage { 1 } else { self.queue.len() };
+        let limit = if now > self.guard_horizon() {
+            1
+        } else {
+            self.queue.len()
+        };
 
         // Pass 1 (FR): oldest request whose column command can issue now.
         for qi in 0..limit {
@@ -367,22 +380,38 @@ impl Channel {
         true
     }
 
-    /// Earliest cycle ≥ `now` at which ticking this channel could change
-    /// any state: a refresh becomes due, an in-flight burst completes, or a
-    /// queued request's column/activate/precharge command first satisfies
-    /// every timing constraint. Returns `u64::MAX` when the channel is
-    /// fully drained and refresh is off.
+    /// Earliest cycle ≥ `now` at which ticking this channel changes its
+    /// state: a refresh starts, an in-flight burst completes, or
+    /// [`issue_one`](Self::issue_one) issues a column, activate or
+    /// precharge command. Returns `u64::MAX` when nothing ever will (the
+    /// channel is drained and refresh is off).
     ///
-    /// The bound is *sound*, not tight: every constraint checked by
-    /// [`issue_one`](Self::issue_one) is of the form `now >= t` against
-    /// state that itself only changes at one of these events, so no command
-    /// can issue strictly before the minimum returned here. (The starvation
-    /// guard only ever *restricts* candidates to the oldest request, so it
-    /// can delay a command past the bound — the tick at the bound is then a
-    /// no-op — but never enable one before it.) This is what lets the
-    /// event-driven simulation kernel skip the span `[now, next_event)`
-    /// without ticking and stay bit-identical to per-cycle stepping.
+    /// The bound is *exact*: every tick before it is a no-op, and the tick
+    /// at it does something. Every constraint `issue_one` checks is of the
+    /// form `now >= t` against state that itself only changes at one of
+    /// these events, so each queued request's earliest command has a closed
+    /// form. The one rule that depends on the clock alone is the starvation
+    /// guard: past [`guard_horizon`](Self::guard_horizon) only the oldest
+    /// request may issue. So the oldest request's earliest command always
+    /// counts, and a younger request's counts only if it falls at or before
+    /// the horizon. This is what lets the event-driven simulation kernel
+    /// skip the span `[now, next_event)` without ticking, stay
+    /// bit-identical to per-cycle stepping, and never wake for nothing.
+    ///
+    /// While [`quiet_until`](Self::quiet_until) lies in the future it is
+    /// the answer without a scan: the no-op tick that set it scanned the
+    /// same state, since only a push (which resets it) or a tick at or
+    /// after it can change that state.
     pub(crate) fn next_event(&self, now: u64) -> u64 {
+        if now < self.quiet_until {
+            return self.quiet_until;
+        }
+        self.scan_next_event(now)
+    }
+
+    /// [`next_event`](Self::next_event) computed from the queues, without
+    /// the `quiet_until` cache.
+    pub(crate) fn scan_next_event(&self, now: u64) -> u64 {
         let mut ev = u64::MAX;
         for c in &self.inflight {
             ev = ev.min(c.at.max(now));
@@ -399,7 +428,10 @@ impl Channel {
         if ev <= now {
             return now;
         }
-        for p in &self.queue {
+        let horizon = self.guard_horizon();
+        // Past the horizon the guard already holds: only the oldest counts.
+        let limit = if now > horizon { 1 } else { self.queue.len() };
+        for (i, p) in self.queue.iter().take(limit).enumerate() {
             let loc = p.loc;
             let bank = &self.banks[loc.rank][loc.bank];
             let rank = &self.ranks[loc.rank];
@@ -445,7 +477,11 @@ impl Channel {
                     bank.pre_ok.max(refr)
                 }
             };
-            ev = ev.min(t.max(now));
+            let t = t.max(now);
+            if i > 0 && t > horizon {
+                continue; // the guard will hold this younger request back
+            }
+            ev = ev.min(t);
             if ev <= now {
                 return now;
             }

@@ -83,6 +83,11 @@ pub struct DramConfig {
     pub refresh: bool,
     /// Age in core cycles after which the scheduler stops reordering past a
     /// request (FR-FCFS starvation guard).
+    ///
+    /// It is counted in core cycles, not nanoseconds, so a faster fabric
+    /// shortens it: at `core_ghz = 96` the default 2048 cycles are ≈21 ns,
+    /// under two tRCDs, and FR-FCFS serves the oldest request almost
+    /// always. Scaling it with the clock would change simulated stats.
     pub max_age: u64,
 }
 

@@ -193,11 +193,14 @@ impl DramSystem {
     }
 
     /// Earliest cycle ≥ [`now`](Self::now) at which a [`tick`](Self::tick)
-    /// could change any channel's state (issue a command, start a refresh,
-    /// or complete a burst), or `u64::MAX` when the whole system is drained
-    /// and refresh is off. Ticking strictly before this cycle is guaranteed
-    /// to be a no-op, which is what lets an event-driven caller
-    /// [`skip`](Self::skip) the gap.
+    /// changes any channel's state (issues a command, starts a refresh, or
+    /// completes a burst), or `u64::MAX` when none ever will (the system is
+    /// drained and refresh is off). The bound is exact: ticking strictly
+    /// before this cycle is a no-op, which is what lets an event-driven
+    /// caller [`skip`](Self::skip) the gap, and the tick at it is not, even
+    /// while the FR-FCFS starvation guard holds a channel's oldest request
+    /// back. A channel that has only waited since its last tick answers
+    /// from a cache instead of scanning its queue.
     pub fn next_event(&self) -> u64 {
         let mut ev = u64::MAX;
         for c in &self.channels {
@@ -354,6 +357,7 @@ pub fn lines_for_range(base: u64, len_bytes: u64, line_bytes: u64) -> impl Itera
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn no_refresh() -> DramConfig {
         DramConfig {
@@ -489,21 +493,49 @@ mod tests {
         assert_eq!(mem.stats().reads, 64);
     }
 
+    /// Configurations where the FR-FCFS starvation guard binds: the fabric
+    /// clocked 96× faster than the DRAM (`max_age` is then under two
+    /// tRCDs) and a small `max_age` at 1 GHz, each with refresh on and off.
+    fn guarded_configs() -> Vec<DramConfig> {
+        [true, false]
+            .into_iter()
+            .flat_map(|refresh| {
+                [
+                    DramConfig {
+                        core_ghz: 96.0,
+                        refresh,
+                        ..DramConfig::default()
+                    },
+                    DramConfig {
+                        max_age: 24,
+                        refresh,
+                        ..DramConfig::default()
+                    },
+                ]
+            })
+            .collect()
+    }
+
+    /// Request `i` of a mixed stream: reads and writes spread evenly over
+    /// the channels, with row hits, row conflicts and closed banks.
+    fn mixed_request(i: u64) -> MemRequest {
+        MemRequest {
+            id: i,
+            addr: ((i * 7919) % (1 << 14)) * 64,
+            is_write: i.is_multiple_of(3),
+        }
+    }
+
     #[test]
     fn event_skipping_matches_cycle_stepping() {
         // Mixed read/write traffic with row hits, conflicts, and refresh on:
         // ticking only at next_event() times (skipping the gaps) must yield
         // the same completion times, stats, and final clock as ticking every
-        // cycle.
-        let run = |event_driven: bool| {
-            let mut mem = DramSystem::new(DramConfig::default()); // refresh on
+        // cycle — also where the starvation guard binds.
+        let run = |cfg: &DramConfig, event_driven: bool| {
+            let mut mem = DramSystem::new(cfg.clone());
             for i in 0..96u64 {
-                mem.push(MemRequest {
-                    id: i,
-                    addr: ((i * 7919) % (1 << 14)) * 64,
-                    is_write: i % 3 == 0,
-                })
-                .unwrap();
+                mem.push(mixed_request(i)).unwrap();
             }
             let mut done: Vec<Completion> = Vec::new();
             while done.len() < 96 {
@@ -519,11 +551,109 @@ mod tests {
             done.sort_by_key(|c| (c.id, c.at));
             (done, mem.stats(), mem.now())
         };
-        let (done_c, stats_c, now_c) = run(false);
-        let (done_e, stats_e, now_e) = run(true);
-        assert_eq!(done_c, done_e);
-        assert_eq!(stats_c, stats_e);
-        assert_eq!(now_c, now_e);
+        let mut configs = vec![DramConfig::default()];
+        configs.extend(guarded_configs());
+        for cfg in &configs {
+            let (done_c, stats_c, now_c) = run(cfg, false);
+            let (done_e, stats_e, now_e) = run(cfg, true);
+            assert_eq!(done_c, done_e, "{cfg:?}");
+            assert_eq!(stats_c, stats_e, "{cfg:?}");
+            assert_eq!(now_c, now_e, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn every_tick_at_next_event_does_something() {
+        // Full queues under guard pressure, no further pushes: the event
+        // bound is exact, so a tick at it always completes a burst, issues
+        // a command or starts a refresh (each of which moves the stats).
+        for cfg in guarded_configs() {
+            let mut mem = DramSystem::new(cfg.clone());
+            let full = (cfg.channels * cfg.queue_depth) as u64;
+            for i in 0..full {
+                mem.push(mixed_request(i)).unwrap();
+            }
+            let mut done = 0;
+            while done < full {
+                let ev = mem.next_event();
+                assert_ne!(ev, u64::MAX, "{cfg:?}: requests left but no event");
+                mem.skip(ev - mem.now());
+                let before = mem.stats();
+                let completed = mem.tick();
+                assert!(
+                    !completed.is_empty() || mem.stats() != before,
+                    "{cfg:?}: the tick at next_event() = {ev} did nothing"
+                );
+                done += completed.len() as u64;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn cached_next_event_matches_full_scan(
+            reqs in prop::collection::vec((0u64..(1 << 16), any::<bool>(), 0u64..40), 1..120),
+            max_age in prop::sample::select(vec![8u64, 64, 2048]),
+            refresh in any::<bool>(),
+            queue_depth in 2usize..33,
+            offline in prop::sample::select(vec![vec![], vec![1usize], vec![0, 2, 3]]),
+        ) {
+            // A random stream of (line, write, gap to the previous arrival),
+            // stepped every cycle: before each tick the cached answer must
+            // equal a full scan of every queue, and the tick must change
+            // something exactly when that answer is the current cycle.
+            let mut mem = DramSystem::new(DramConfig {
+                max_age,
+                refresh,
+                queue_depth,
+                ..DramConfig::default()
+            });
+            prop_assert!(mem.set_offline(&offline));
+            let mut due = 0u64;
+            let mut arrivals = reqs
+                .iter()
+                .enumerate()
+                .map(|(i, &(line, is_write, gap))| {
+                    due += gap;
+                    (due, MemRequest { id: i as u64, addr: line * 64, is_write })
+                })
+                .peekable();
+            let mut completed = 0;
+            while completed < reqs.len() {
+                while let Some(&(at, req)) = arrivals.peek() {
+                    if at > mem.now() || mem.push(req).is_err() {
+                        break;
+                    }
+                    arrivals.next();
+                }
+                let now = mem.now();
+                let ev = mem.next_event();
+                let scanned = mem
+                    .channels
+                    .iter()
+                    .map(|c| c.scan_next_event(now))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                prop_assert_eq!(ev, scanned, "at cycle {}", now);
+                if ev == u64::MAX && arrivals.peek().is_none_or(|&(at, _)| at <= now) {
+                    // Requests are left, but nothing can ever change and no
+                    // further push will land. With refresh off a channel
+                    // stalls for good once the starvation guard holds a row
+                    // conflict whose open row a younger queued request still
+                    // wants: the conflict may not precharge, and the guard
+                    // bars the row hit.
+                    break;
+                }
+                let before = mem.stats();
+                let done = mem.tick();
+                let changed = !done.is_empty() || mem.stats() != before;
+                prop_assert_eq!(changed, ev == now, "at cycle {}", now);
+                completed += done.len();
+                prop_assert!(now < 1_000_000, "deadlock");
+            }
+        }
     }
 
     #[test]

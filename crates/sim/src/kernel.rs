@@ -549,16 +549,10 @@ impl SimKernel {
                 }
                 return Err(SimError::Deadlock(Box::new(report)));
             }
-            if self.opts.step == StepMode::Event && !changed && !self.res.is_forced() {
+            if self.opts.step == StepMode::Event && !changed {
                 // The iteration was quiescent: replaying it verbatim would
                 // change nothing, so jump to the next cycle where anything
-                // can. A forced cycle (columns issued while coalescer
-                // lines wait on capacity) must run as a full iteration
-                // anyway, so skip the fast-forward entry — and its
-                // per-entry tree-wake walk — while the DRAM backlog
-                // drains; this is what keeps event stepping ≥ cycle
-                // stepping even in latency-bound phases.
-                // The fast-forward must not skip past the next timeline
+                // can. The fast-forward must not skip past the next timeline
                 // arrival or an armed degrade deadline: both have to be
                 // observed at their exact cycle boundary.
                 let hard_stop = self.pending.as_ref().map(|p| p.at).unwrap_or(u64::MAX).min(

@@ -371,16 +371,6 @@ impl Resources {
         self.threads = threads.max(1);
     }
 
-    /// Whether the coalescer-capacity ordering rule forces the next cycle
-    /// to run as a full iteration (columns issued while units hold blocked
-    /// lines). The run loop uses this to bypass the fast-forward entry —
-    /// and its tree-wake walk — during backlogged phases, where event
-    /// stepping would otherwise degenerate to cycle stepping plus pure
-    /// overhead.
-    pub(crate) fn is_forced(&self) -> bool {
-        self.begin_cols && self.cu_pending
-    }
-
     /// Arms transient-fault injection. With all rates zero this is a no-op
     /// and the simulation stays bit-identical to a fault-free run.
     pub fn set_transients(&mut self, t: &TransientFaults) {
