@@ -24,6 +24,7 @@
 
 use crate::fault::{FaultMap, FaultRng};
 use crate::geom::{SiteId, SiteKind, SwitchId, Topology};
+use crate::params::GridMix;
 use crate::partition::Partition;
 use std::fmt;
 
@@ -542,6 +543,25 @@ impl HealthMap {
         })
     }
 
+    /// The lowest healthy band pattern-equivalent to `like` on an otherwise
+    /// empty chip: the same height and channel share at a `y0` congruent to
+    /// `like.y0` modulo the grid mix's vertical period, so `like`'s
+    /// bitstream relocates onto it unmodified. It may be `like` itself.
+    /// `None` when the accumulated faults cover every such offset.
+    pub fn lowest_healthy_band(
+        &self,
+        topo: &Topology,
+        like: &Partition,
+        mix: GridMix,
+    ) -> Option<Partition> {
+        let period = mix.vertical_period().max(1);
+        (like.y0 % period..)
+            .step_by(period)
+            .take_while(|y0| y0 + like.rows <= topo.rows())
+            .map(|y0| Partition::new(y0, like.rows, like.channels))
+            .find(|p| self.band_is_healthy(topo, p))
+    }
+
     /// The accumulated faults merged over a base map (set unions; the
     /// higher transient rates win). Feed the result to a degraded
     /// recompile.
@@ -771,5 +791,35 @@ mod tests {
         let merged = h.merged(&FaultMap::default());
         assert!(merged.dead_pcus.contains(&victim));
         assert!(merged.link_is_dead(s0, s1));
+    }
+
+    #[test]
+    fn lowest_healthy_band_keeps_the_pattern_phase() {
+        let t = topo();
+        let mix = GridMix::Checkerboard;
+        let mut h = HealthMap::new();
+        // Pristine: the lowest offset of the same parity, whatever `like` is.
+        let like = Partition::new(5, 2, 1);
+        assert_eq!(
+            h.lowest_healthy_band(&t, &like, mix),
+            Some(Partition::new(1, 2, 1))
+        );
+        // Kill a unit in rows 1..3: the next same-parity offset is 3.
+        let victim = t
+            .sites_of(SiteKind::Pcu)
+            .into_iter()
+            .find(|s| t.site(*s).y == 1)
+            .unwrap();
+        h.absorb(&FaultArrival::UnitDeath {
+            site: victim,
+            kind: SiteKind::Pcu,
+        });
+        assert_eq!(
+            h.lowest_healthy_band(&t, &like, mix),
+            Some(Partition::new(3, 2, 1))
+        );
+        // A band as tall as the chip has one offset; damage rules it out.
+        let whole = Partition::new(0, t.rows(), 1);
+        assert_eq!(h.lowest_healthy_band(&t, &whole, mix), None);
     }
 }

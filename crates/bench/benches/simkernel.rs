@@ -15,22 +15,11 @@
 //!   of fabric cycles, as with far/disaggregated memory. The fabric
 //!   spends most cycles waiting, and the event kernel skips them.
 //!
-//! The event kernel is additionally timed at every thread count in
-//! [`THREADS`]: quiescent spans are partitioned into per-DRAM-channel
-//! shards and run on a worker pool (DESIGN.md §12), so extra threads may
-//! only change wall-clock time, never a stats byte. Each multi-threaded
-//! cell also records the engine's *critical-path speedup* — total chain
-//! events over the busiest lane's share, the deterministic load-balance
-//! bound that wall-clock speedup approaches on a host with enough cores.
-//! (Measured `wall_s` is only meaningful relative to `event_wall_s` when
-//! the host actually has that many cores; the report records the host's
-//! core count.)
-//!
 //! For each (workload, config) pair the harness compiles once, then
 //! times `simulate` alone (machine construction and data loading
-//! excluded, minimum over `ITERS` runs) in both [`StepMode`]s and at
-//! each thread count, cross-checks that every `stats_json` snapshot is
-//! byte-identical, and writes `BENCH_sim.json` at the workspace root.
+//! excluded, minimum over `ITERS` runs) in both [`StepMode`]s,
+//! cross-checks that the two `stats_json` snapshots are byte-identical,
+//! and writes `BENCH_sim.json` at the workspace root.
 //! The reported `speedup` is the median over back-to-back (cycle, event)
 //! run pairs — robust against host-load drift between sampling phases
 //! (see [`paired_speedup`]); the `*_wall_s` fields stay min-of-`ITERS`.
@@ -42,19 +31,15 @@
 //!   "workloads": [
 //!     { "bench": "BFS", "config": "remote", "core_ghz": 96.0,
 //!       "cycles": 869127, "cycle_wall_s": 0.18, "event_wall_s": 0.023,
-//!       "speedup": 8.1, "stats_identical": true,
-//!       "threads": [
-//!         { "threads": 2, "wall_s": 0.015, "speedup_vs_serial_event": 1.5,
-//!           "critical_path_speedup": 1.9 }
-//!       ] }
+//!       "speedup": 8.1, "stats_identical": true }
 //!   ]
 //! }
 //! ```
 //!
 //! The process exits non-zero if any pair's snapshots differ between
-//! modes or thread counts, **or** if any cell's event-vs-cycle speedup
-//! drops below 1.0× — the event kernel must never lose to the per-cycle
-//! kernel — so CI can use this binary as a fast regression smoke test.
+//! modes, **or** if any cell's event-vs-cycle speedup drops below 1.0× —
+//! the event kernel must never lose to the per-cycle kernel — so CI can
+//! use this binary as a fast regression smoke test.
 
 use plasticine_arch::PlasticineParams;
 use plasticine_compiler::compile;
@@ -62,7 +47,7 @@ use plasticine_dram::DramConfig;
 use plasticine_json::Json;
 use plasticine_ppir::Machine;
 use plasticine_sim::{simulate, SimOptions, SimResult, StepMode};
-use plasticine_workloads::{all, Bench, Scale};
+use plasticine_workloads::{by_name, Bench, Scale};
 use std::time::Instant;
 
 const SCALE: usize = 16;
@@ -71,8 +56,6 @@ const ITERS: u32 = 3;
 const WORKLOADS: [&str; 3] = ["SMDV", "BFS", "PageRank"];
 /// (name, fabric-to-memory clock ratio); see the module doc.
 const CONFIGS: [(&str, f64); 2] = [("balanced", 1.0), ("remote", 96.0)];
-/// Worker-thread counts for the parallel event kernel (1 = serial).
-const THREADS: [usize; 3] = [1, 2, 4];
 /// Back-to-back (cycle, event) run pairs per speedup verdict, and the
 /// escalation ceiling for borderline cells; see [`paired_speedup`].
 const PAIRS: usize = 5;
@@ -85,7 +68,6 @@ fn time_simulate(
     out: &plasticine_compiler::CompileOutput,
     core_ghz: f64,
     step: StepMode,
-    threads: usize,
 ) -> (f64, SimResult) {
     let opts = SimOptions {
         dram: DramConfig {
@@ -93,7 +75,6 @@ fn time_simulate(
             ..DramConfig::default()
         },
         step,
-        threads,
         ..SimOptions::default()
     };
     let run = || {
@@ -101,7 +82,7 @@ fn time_simulate(
         bench.load(&mut m);
         let t0 = Instant::now();
         let r = simulate(&bench.program, out, &mut m, &opts)
-            .unwrap_or_else(|e| panic!("{} ({step:?}, {threads} threads): {e}", bench.name));
+            .unwrap_or_else(|e| panic!("{} ({step:?}): {e}", bench.name));
         (t0.elapsed().as_secs_f64(), r)
     };
     for _ in 0..WARMUP {
@@ -161,91 +142,50 @@ fn paired_speedup(bench: &Bench, out: &plasticine_compiler::CompileOutput, core_
 
 fn main() {
     let params = PlasticineParams::paper_final();
-    let benches = all(Scale(SCALE));
     let mut rows = Vec::new();
     let mut diverged = false;
     let mut regressed = false;
     println!(
-        "{:<12} {:<10} {:>10} {:>12} {:>12} {:>9} {:>9} {:>9}  stats",
-        "bench", "config", "cycles", "cycle", "event", "speedup", "cpath x2", "cpath x4"
+        "{:<12} {:<10} {:>10} {:>12} {:>12} {:>9}  stats",
+        "bench", "config", "cycles", "cycle", "event", "speedup"
     );
     for name in WORKLOADS {
-        let bench = benches
-            .iter()
-            .find(|b| b.name.eq_ignore_ascii_case(name))
-            .unwrap_or_else(|| panic!("no workload named {name}"));
+        let bench =
+            &by_name(name, Scale(SCALE)).unwrap_or_else(|| panic!("no workload named {name}"));
         let out = compile(&bench.program, &params).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (config, core_ghz) in CONFIGS {
-            let (cycle_s, cycle_r) = time_simulate(bench, &out, core_ghz, StepMode::Cycle, 1);
-            let golden = cycle_r.stats_json().pretty();
-            let mut identical = true;
-            let mut event = Vec::new();
-            for threads in THREADS {
-                let (s, r) = time_simulate(bench, &out, core_ghz, StepMode::Event, threads);
-                identical &= r.stats_json().pretty() == golden;
-                event.push((threads, s, r.span_work));
-            }
+            let (cycle_s, cycle_r) = time_simulate(bench, &out, core_ghz, StepMode::Cycle);
+            let (event_s, event_r) = time_simulate(bench, &out, core_ghz, StepMode::Event);
+            let identical = event_r.stats_json().pretty() == cycle_r.stats_json().pretty();
             diverged |= !identical;
-            let serial_event_s = event[0].1;
             let speedup = paired_speedup(bench, &out, core_ghz);
             // The event kernel must never lose to the cycle kernel.
             regressed |= speedup < 1.0;
-            let par = |n: usize| {
-                event
-                    .iter()
-                    .find(|&&(t, _, _)| t == n)
-                    .and_then(|&(_, _, w)| w.ideal_speedup())
-            };
             println!(
-                "{:<12} {:<10} {:>10} {:>10.4} s {:>10.4} s {:>8.1}x {:>8.2}x {:>8.2}x  {}",
+                "{:<12} {:<10} {:>10} {:>10.4} s {:>10.4} s {:>8.1}x  {}",
                 bench.name,
                 config,
                 cycle_r.cycles,
                 cycle_s,
-                serial_event_s,
+                event_s,
                 speedup,
-                par(2).unwrap_or(f64::NAN),
-                par(4).unwrap_or(f64::NAN),
                 if identical { "identical" } else { "DIVERGED" },
             );
-            let threads_axis: Vec<Json> = event
-                .iter()
-                .skip(1)
-                .map(|&(threads, s, work)| {
-                    Json::Obj(vec![
-                        ("threads".into(), Json::from(threads)),
-                        ("wall_s".into(), Json::from(s)),
-                        (
-                            "speedup_vs_serial_event".into(),
-                            Json::from(serial_event_s / s),
-                        ),
-                        (
-                            "critical_path_speedup".into(),
-                            Json::from(work.ideal_speedup().unwrap_or(1.0)),
-                        ),
-                    ])
-                })
-                .collect();
             rows.push(Json::Obj(vec![
                 ("bench".into(), Json::from(bench.name.clone())),
                 ("config".into(), Json::from(config)),
                 ("core_ghz".into(), Json::from(core_ghz)),
                 ("cycles".into(), Json::from(cycle_r.cycles)),
                 ("cycle_wall_s".into(), Json::from(cycle_s)),
-                ("event_wall_s".into(), Json::from(serial_event_s)),
+                ("event_wall_s".into(), Json::from(event_s)),
                 ("speedup".into(), Json::from(speedup)),
                 ("stats_identical".into(), Json::from(identical)),
-                ("threads".into(), Json::Arr(threads_axis)),
             ]));
         }
     }
     let report = Json::Obj(vec![
         ("scale".into(), Json::from(SCALE)),
         ("iters".into(), Json::from(ITERS)),
-        (
-            "host_cores".into(),
-            Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
-        ),
         ("workloads".into(), Json::Arr(rows)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");

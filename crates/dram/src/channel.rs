@@ -648,10 +648,10 @@ impl Channel {
         }
         self.data_bus_free = u64_of(j, "data_bus_free")?;
         // `quiet_until` is a pure scheduling cache (0 is always sound) and is
-        // deliberately absent from snapshots: serial and sharded runs refresh
-        // it on different cycles, and snapshot bytes must not depend on the
-        // thread count. Old snapshots that still carry the field decode fine —
-        // unknown fields are ignored.
+        // deliberately absent from snapshots: its value depends on which
+        // cycles the channel happened to be ticked, not on simulated state.
+        // Old snapshots that still carry the field decode fine — unknown
+        // fields are ignored.
         self.quiet_until = 0;
         let s = field(j, "stats")?;
         self.stats = ChannelStats {

@@ -54,21 +54,6 @@ struct Entry {
     issued: bool,
 }
 
-/// Anything a coalescing unit can issue line requests into: the whole
-/// [`DramSystem`], or one detached [`ChannelShard`](crate::ChannelShard)
-/// during a parallel fast-forward span.
-pub trait LineSink {
-    /// Attempts to enqueue a line request; `Err(QueueFull)` must leave the
-    /// sink unchanged (the unit retries the same line later).
-    fn push_line(&mut self, req: MemRequest) -> Result<(), QueueFull>;
-}
-
-impl LineSink for DramSystem {
-    fn push_line(&mut self, req: MemRequest) -> Result<(), QueueFull> {
-        self.push(req)
-    }
-}
-
 /// Merges element-granularity sparse accesses into line-granularity DRAM
 /// requests using a bounded coalescing cache.
 ///
@@ -169,11 +154,11 @@ impl CoalescingUnit {
 
     /// Issues pending line requests into the memory system (as many as the
     /// channel queues accept this cycle).
-    pub fn issue<M: LineSink>(&mut self, mem: &mut M) {
+    pub fn issue(&mut self, mem: &mut DramSystem) {
         while let Some(&key) = self.issue_queue.front() {
             let (line, is_write) = key;
             let req_id = self.namespace + self.next_line_req;
-            let push = mem.push_line(MemRequest {
+            let push = mem.push(MemRequest {
                 id: req_id, // namespaced; mapped back via by_req_id
                 addr: line * self.line_bytes,
                 is_write,

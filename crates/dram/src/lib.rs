@@ -32,11 +32,9 @@
 mod channel;
 mod coalesce;
 mod config;
-mod shard;
 mod system;
 
 pub use channel::{ChannelStats, Completion, MemRequest};
-pub use coalesce::{CoalesceStats, CoalescingUnit, ElemCompletion, ElemRequest, LineSink};
+pub use coalesce::{CoalesceStats, CoalescingUnit, ElemCompletion, ElemRequest};
 pub use config::{DramConfig, Location, Timing};
-pub use shard::ChannelShard;
 pub use system::{lines_for_range, DramStats, DramSystem, QueueFull};

@@ -228,43 +228,6 @@ impl DramSystem {
         self.now += cycles;
     }
 
-    /// Sets the clock to `now` (≥ the current clock) without ticking. Unlike
-    /// [`skip`](Self::skip) this does not assert event-freedom: the parallel
-    /// fast-forward driver uses it after shards have already processed the
-    /// span's events on detached channels.
-    pub fn advance_to(&mut self, now: u64) {
-        debug_assert!(
-            now >= self.now,
-            "advance_to({now}) behind clock {}",
-            self.now
-        );
-        self.now = now;
-    }
-
-    /// The nominal→serving channel remap as a vector, if any channel is
-    /// offline.
-    pub(crate) fn remap_vec(&self) -> Option<Vec<usize>> {
-        self.remap.clone()
-    }
-
-    /// Serving channel index for a nominal channel index (public form of
-    /// [`chan`](Self::chan), used by the shard-map builder).
-    pub fn serving_channel(&self, nominal: usize) -> usize {
-        self.chan(nominal)
-    }
-
-    /// Earliest event cycle for one channel (same contract as
-    /// [`next_event`](Self::next_event), restricted to channel `ch`). Lets
-    /// the parallel span driver count how many shards actually have work
-    /// below a horizon before paying for a dispatch.
-    pub fn channel_next_event(&self, ch: usize) -> u64 {
-        self.channels[ch].next_event(self.now)
-    }
-
-    pub(crate) fn swap_channel(&mut self, idx: usize, ch: Channel) -> Channel {
-        std::mem::replace(&mut self.channels[idx], ch)
-    }
-
     /// Serializes the mutable memory-system state (clock plus per-channel
     /// snapshots). The config and offline-channel remap are *not* included:
     /// a resume rebuilds the system from the same config and replays

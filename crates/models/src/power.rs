@@ -155,7 +155,6 @@ mod tests {
             coalesce: plasticine_dram::CoalesceStats::default(),
             units: plasticine_sim::UnitStats::default(),
             faults: plasticine_sim::FaultStats::default(),
-            span_work: plasticine_sim::SpanWork::default(),
         }
     }
 

@@ -51,7 +51,6 @@ fn result(a: Activity, cycles: u64) -> SimResult {
         coalesce: plasticine_dram::CoalesceStats::default(),
         units: plasticine_sim::UnitStats::default(),
         faults: plasticine_sim::FaultStats::default(),
-        span_work: plasticine_sim::SpanWork::default(),
     }
 }
 

@@ -183,7 +183,6 @@ impl SimKernel {
         let mut res = Resources::new(&model, &out.config.params, opts.dram.clone());
         res.set_coalescing(opts.coalescing);
         res.set_transients(&opts.faults.transient);
-        res.set_threads(opts.threads);
         if !opts.faults.offline_channels.is_empty() {
             let offline: Vec<usize> = opts.faults.offline_channels.iter().copied().collect();
             if !res.dram.set_offline(&offline) {
@@ -658,7 +657,6 @@ impl SimKernel {
                 coalesce: self.res.coalesce_stats(),
                 units,
                 faults: self.res.fault_stats(),
-                span_work: self.res.span_work,
             },
             sim_trace,
         )

@@ -42,7 +42,6 @@ mod exit;
 mod kernel;
 mod model;
 mod multi;
-mod parallel;
 mod resources;
 mod sched;
 mod trace;
@@ -53,7 +52,6 @@ pub use exit::ExitStatus;
 pub use kernel::{Advance, CheckpointSink, DegradedReport, SimKernel};
 pub use model::{ComputeModel, OuterModel, SimModel, TransferModel};
 pub use multi::{MultiSim, Tenant, TenantId};
-pub use parallel::SpanWork;
 pub use resources::{Activity, FaultStats, Resources, SimError};
 pub use sched::Node;
 pub use trace::{
@@ -122,12 +120,6 @@ pub struct SimOptions {
     pub credit_cap: Option<usize>,
     /// Time-advance strategy; see [`StepMode`].
     pub step: StepMode,
-    /// Worker threads for the event-driven kernel (1 = serial). Results are
-    /// byte-identical at any value — extra threads only change wall-clock
-    /// time; quiescent spans are partitioned into per-DRAM-channel shards
-    /// and merged in canonical order (DESIGN.md §12). Ignored in cycle
-    /// stepping and while tracing.
-    pub threads: usize,
 }
 
 impl Default for SimOptions {
@@ -141,7 +133,6 @@ impl Default for SimOptions {
             stall_limit: 100_000,
             credit_cap: None,
             step: StepMode::default(),
-            threads: 1,
         }
     }
 }
@@ -163,10 +154,6 @@ pub struct SimResult {
     /// Transient-fault detection and recovery counters (all zero on a
     /// fault-free run).
     pub faults: FaultStats,
-    /// Parallel-engine work accounting (zeroes when the engine never
-    /// engaged). Deliberately absent from [`stats_json`](Self::stats_json):
-    /// it varies with the thread count, and the stats snapshot must not.
-    pub span_work: SpanWork,
 }
 
 impl SimResult {

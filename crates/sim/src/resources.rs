@@ -255,19 +255,6 @@ pub struct Resources {
     /// Whether, after the latest begin_cycle's coalescer-issue pass, some
     /// coalescing unit still holds line requests blocked on queue capacity.
     cu_pending: bool,
-    /// Requested event-kernel worker threads (1 = serial). Runtime-only
-    /// configuration, like the thread pool below: never serialized, so
-    /// snapshots are thread-count-independent by construction.
-    threads: usize,
-    /// Lazily built worker pool + shard plan; `None` until the first
-    /// eligible fast-forward span.
-    par: Option<crate::parallel::ParRuntime>,
-    /// Set when the machine cannot be partitioned (single shard); stops
-    /// further plan rebuild attempts.
-    par_disabled: bool,
-    /// Parallel-span work accounting (see [`SpanWork`]); diagnostic only,
-    /// never serialized.
-    pub(crate) span_work: crate::parallel::SpanWork,
 }
 
 /// Outcome of [`Resources::fast_forward`].
@@ -355,20 +342,7 @@ impl Resources {
             begin_routed: false,
             begin_cols: false,
             cu_pending: false,
-            threads: 1,
-            par: None,
-            par_disabled: false,
-            span_work: crate::parallel::SpanWork::default(),
         }
-    }
-
-    /// Sets the event-kernel worker-thread count (1 = serial). Results are
-    /// byte-identical at any value; extra threads only change wall-clock
-    /// time. Ignored in cycle stepping and while tracing (the tracer records
-    /// per-cycle spans the parallel driver does not replicate, so traced
-    /// runs stay on the serial path).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Arms transient-fault injection. With all rates zero this is a no-op
@@ -818,9 +792,6 @@ impl Resources {
                 // arrival or degrade deadline: the run loop must observe
                 // that exact cycle boundary, so the skip never crosses it.
                 let cap = tree_ev.min(trig_ev).min(hard_stop);
-                if let Some(ff) = self.parallel_span(cap) {
-                    return ff;
-                }
                 let m = cap.min(self.dram.next_event()).min(self.retry_next_due());
                 debug_assert!(m >= self.now, "event {m} in the past (now {})", self.now);
                 if m > self.now {
@@ -847,269 +818,6 @@ impl Resources {
             // loop's post-commit bookkeeping so the watchdog clock matches.
             if self.take_progress() {
                 *last_progress = self.now;
-            }
-        }
-    }
-
-    /// Attempts to process the span `[now, horizon)` on the worker pool
-    /// instead of the serial fast-forward loop. Returns `None` (state
-    /// untouched) when parallel execution is off or not worthwhile; else
-    /// the span has been fully processed and the result mirrors what the
-    /// serial loop would have returned, byte for byte.
-    ///
-    /// Within a span no completion is ever routed — any completion ends the
-    /// span as tree-observable — so simulator mutation decomposes into
-    /// independent per-shard event chains (see `crate::parallel` and
-    /// DESIGN.md §12). Workers speculatively run each chain to its first
-    /// observable cycle; the coordinator takes the minimum `R`, replays any
-    /// shard that sped past it from a pristine clone, merges completions at
-    /// `R` by ascending global channel index (the canonical serial order),
-    /// and reproduces the serial flag state exactly.
-    ///
-    /// Gated off whenever span-local effects could couple shards: tracing
-    /// (per-cycle span extension), pending or possible DRAM-drop retries
-    /// (global RNG draws + cross-channel re-push), or a forced entry.
-    fn parallel_span(&mut self, horizon: u64) -> Option<FastForward> {
-        use crate::parallel::{ParRuntime, ShardPlan, ShardTask, WorkerPool};
-        /// Spans shorter than this cannot amortize dispatch + clone costs.
-        const MIN_SPAN: u64 = 32;
-        if self.threads < 2
-            || self.par_disabled
-            || self.tracer.is_some()
-            || !self.retry_queue.is_empty()
-            || self.transients.dram_drop > 0.0
-            || horizon.saturating_sub(self.now) < MIN_SPAN
-        {
-            return None;
-        }
-        let channels = self.dram.config().channels;
-        let serving: Vec<usize> = (0..channels)
-            .map(|c| self.dram.serving_channel(c))
-            .collect();
-        let rebuild = match &self.par {
-            Some(rt) => rt.plan.serving != serving,
-            None => true,
-        };
-        if rebuild {
-            let plan = ShardPlan::build(channels, self.cus.len(), serving);
-            if plan.groups.len() < 2 {
-                self.par_disabled = true;
-                return None;
-            }
-            // The span coordinator runs one lane of chains itself, so it
-            // counts toward the thread budget: N threads = N-1 workers + 1
-            // caller lane, capped so no lane would sit idle.
-            let workers = (self.threads - 1).min(plan.groups.len() - 1).max(1);
-            self.par = Some(ParRuntime {
-                pool: WorkerPool::new(workers),
-                plan,
-            });
-        }
-        let mut rt = self.par.take().expect("runtime built above");
-        // Cheap pre-check: parallelism only pays when at least two shards
-        // have events inside the span. (A shard with pending coalescer lines
-        // but no channel event is inert too: pending implies full queues,
-        // and capacity frees only at the shard's own column events.)
-        let active = rt
-            .plan
-            .groups
-            .iter()
-            .filter(|g| g.iter().any(|&c| self.dram.channel_next_event(c) < horizon))
-            .count();
-        if active < 2 {
-            self.par = Some(rt);
-            return None;
-        }
-
-        let n0 = self.now;
-        let stop_on_cols = self.push_blocked;
-        // Detach shard state. Workers get clones; the originals stay behind
-        // as pristine copies for the truncation replay.
-        let shards = self.dram.detach_shards(&rt.plan.groups);
-        let mut cu_slots: Vec<Option<CoalescingUnit>> = std::mem::take(&mut self.cus)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let n_shards = shards.len();
-        // Cross-shard work limiter: chains publish candidate cycles here and
-        // stop once their next event is past the published minimum, keeping
-        // overshoot (and thus round-two replays) small.
-        let race = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(u64::MAX));
-        let mut pristine = Vec::with_capacity(n_shards);
-        let mut tasks = Vec::with_capacity(n_shards);
-        for (i, shard) in shards.into_iter().enumerate() {
-            let cus: Vec<CoalescingUnit> = rt.plan.cu_of_shard[i]
-                .iter()
-                .map(|&k| cu_slots[k].take().expect("unit assigned once"))
-                .collect();
-            tasks.push((
-                i,
-                ShardTask {
-                    shard: shard.clone(),
-                    cus: cus.clone(),
-                    start: n0,
-                    horizon,
-                    stop_on_cols,
-                    cap: None,
-                    race: Some(std::sync::Arc::clone(&race)),
-                },
-            ));
-            pristine.push(Some((shard, cus)));
-        }
-        // Round one: every chain speculates to its first observable cycle
-        // (or the horizon). Results are indexed by slot, so worker
-        // scheduling cannot influence anything downstream.
-        let mut outs: Vec<Option<crate::parallel::ChainOut>> =
-            (0..n_shards).map(|_| None).collect();
-        for (slot, out) in rt.pool.run(tasks) {
-            outs[slot] = Some(out);
-        }
-        let r_cycle = outs
-            .iter()
-            .map(|o| o.as_ref().expect("every slot filled"))
-            .filter_map(|o| o.candidate.as_ref().map(|c| c.at))
-            .min();
-        // Round two: truncate chains that sped past R. A capped replay of
-        // the pristine copy reproduces the ≤R prefix exactly (chains are
-        // deterministic); it can't find a new observable below R — round
-        // one already proved none exists there.
-        if let Some(r) = r_cycle {
-            let replays: Vec<(usize, ShardTask)> = (0..n_shards)
-                .filter(|&i| {
-                    outs[i]
-                        .as_ref()
-                        .expect("filled")
-                        .processed
-                        .iter()
-                        .any(|&(e, _)| e > r)
-                })
-                .map(|i| {
-                    let (shard, cus) = pristine[i].take().expect("not yet replayed");
-                    (
-                        i,
-                        ShardTask {
-                            shard,
-                            cus,
-                            start: n0,
-                            horizon,
-                            stop_on_cols,
-                            cap: Some(r),
-                            race: None,
-                        },
-                    )
-                })
-                .collect();
-            if !replays.is_empty() {
-                for (slot, out) in rt.pool.run(replays) {
-                    outs[slot] = Some(out);
-                }
-            }
-        }
-        // Span-work accounting: the post-replay chains hold exactly the
-        // events the serial kernel would have processed in this span, and
-        // the lane assignment (task index mod lanes, matching the pool's
-        // round-robin) gives the critical path — the load-balance bound on
-        // multi-core wall-clock speedup, reported by the simkernel bench.
-        {
-            let lanes = rt.pool.lanes();
-            let mut lane_events = vec![0u64; lanes];
-            for (i, o) in outs.iter().enumerate() {
-                lane_events[i % lanes] +=
-                    o.as_ref().expect("every slot filled").processed.len() as u64;
-            }
-            self.span_work.total_events += lane_events.iter().sum::<u64>();
-            self.span_work.critical_path_events += lane_events.iter().max().copied().unwrap_or(0);
-        }
-        // The serial loop's last begin in a no-observable span is at the
-        // maximum processed cycle across shards; capture its column flag
-        // before the merge loop consumes the chain outputs.
-        let (e_max, cols_at_emax) = {
-            let chains = || outs.iter().map(|o| o.as_ref().expect("every slot filled"));
-            let em = chains()
-                .filter_map(|o| o.processed.last().map(|&(e, _)| e))
-                .max();
-            let cols = em.is_some_and(|em| {
-                chains().any(|o| o.processed.iter().any(|&(e, cols)| e == em && cols))
-            });
-            (em, cols)
-        };
-        // Merge: reattach evolved state and reproduce the serial flags.
-        let mut merged: Vec<(usize, Vec<plasticine_dram::Completion>)> = Vec::new();
-        let mut cols_at_r = false;
-        let mut cu_pending = false;
-        let mut all_shards = Vec::with_capacity(n_shards);
-        for (i, o) in outs.into_iter().enumerate() {
-            let mut o = o.expect("every slot filled");
-            cu_pending |= o.pending_after;
-            if let Some(c) = o.candidate.take() {
-                debug_assert_eq!(Some(c.at), r_cycle, "non-minimal candidate survived replay");
-                cols_at_r |= c.cols;
-                merged.extend(c.completions);
-            } else if let Some(r) = r_cycle {
-                // A shard that reached R on its own chain without observables
-                // still contributes its column issues to `begin_cols`.
-                cols_at_r |= o.processed.iter().any(|&(e, cols)| e == r && cols);
-            }
-            for (&k, cu) in rt.plan.cu_of_shard[i].iter().zip(o.cus) {
-                cu_slots[k] = Some(cu);
-            }
-            all_shards.push(o.shard);
-        }
-        self.dram.attach_shards(all_shards);
-        self.cus = cu_slots
-            .into_iter()
-            .map(|s| s.expect("every unit returned"))
-            .collect();
-        self.par = Some(rt);
-
-        match r_cycle {
-            Some(r) => {
-                // Mirror `begin_cycle` for cycle R: token refresh happened
-                // conceptually at every processed cycle; only R's begin is
-                // visible to the tree, so refresh once here.
-                self.read_tokens.copy_from_slice(&self.port_caps);
-                self.write_tokens.copy_from_slice(&self.port_caps);
-                self.cu_pending = cu_pending;
-                self.begin_cols = cols_at_r;
-                merged.sort_by_key(|(ch, _)| *ch);
-                let completions: Vec<plasticine_dram::Completion> =
-                    merged.into_iter().flat_map(|(_, v)| v).collect();
-                if !completions.is_empty() {
-                    self.progress = true;
-                    self.changed = true;
-                }
-                self.begin_routed = !completions.is_empty();
-                for c in &completions {
-                    if let Some(job) = self.req_job.remove(&c.id) {
-                        *self.line_done.entry(job).or_insert(0) += 1;
-                    } else if let Some(job) = self.req_elem.remove(&c.id) {
-                        *self.elem_done.entry(job).or_insert(0) += 1;
-                    }
-                }
-                for cu in &mut self.cus {
-                    for e in cu.absorb(&completions) {
-                        let job = e.id >> ELEM_SEQ_BITS;
-                        *self.elem_done.entry(job).or_insert(0) += 1;
-                    }
-                }
-                self.now = r + 1;
-                self.dram.advance_to(r + 1);
-                self.commit_skipped(r - n0);
-                Some(FastForward::Begun)
-            }
-            None => {
-                // No observable below the horizon: every chain ran dry.
-                // Reproduce the flag state of the serial loop's last
-                // unobservable begin (at e_max), then stop at the horizon
-                // for the full iteration the caller owes.
-                debug_assert!(e_max.is_some(), "two active shards processed no cycles");
-                self.begin_routed = false;
-                self.cu_pending = cu_pending;
-                self.begin_cols = cols_at_emax;
-                self.now = horizon;
-                self.dram.advance_to(horizon);
-                self.commit_skipped(horizon - n0);
-                Some(FastForward::NeedBegin)
             }
         }
     }

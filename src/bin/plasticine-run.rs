@@ -30,8 +30,8 @@ use plasticine::json::Json;
 use plasticine::models::PowerModel;
 use plasticine::ppir::Machine;
 use plasticine::service::{
-    checkpoint_path, emit_checkpoint, env_lists_bench, jittered_backoff_ms, stats_with_bench,
-    RequestDefaults, ServeOptions,
+    checkpoint_path, contain, emit_checkpoint, env_lists_bench, jittered_backoff_ms,
+    stats_with_bench, Escape, RequestDefaults, ServeOptions,
 };
 use plasticine::sim::{
     simulate, simulate_checkpointed, simulate_traced, Checkpoint, CheckpointPolicy, ExitStatus,
@@ -39,16 +39,15 @@ use plasticine::sim::{
 };
 use plasticine::workloads::{all, by_name, Bench, Scale};
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  plasticine-run list\n  plasticine-run run <benchmark|all> [--scale N] [--config FILE] [--partition ROWS@Y0[/CH]] [--trace FILE] [--stats-json FILE] [--units] [--faults SPEC] [--step-mode MODE] [--threads N] [--max-cycles N] [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep N] [--resume FILE] [--fault-timeline SPEC] [--heal]\n  plasticine-run compile <benchmark> [--scale N] [--faults SPEC] [--partition ROWS@Y0[/CH]] [--out FILE] [--bitstream FILE]\n  plasticine-run multi <NAME=ROWS[@Y0][/CH]...> [--scale N] [--step-mode MODE] [--threads N] [--max-cycles N] [--quantum N] [--evict IDX] [--stats-json FILE]\n  plasticine-run batch <benchmark...|all> [--scale N] [--jobs N] [--threads N] [--stats-json FILE] [--faults SPEC] [--step-mode MODE] [--max-cycles N] [--timeout SECS] [--retries N] [--journal FILE] [--fail-fast] [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep N]\n  plasticine-run dse search <benchmark...|all> [--scale N] [--lanes L1,L2] [--stages S1,S2] [--mix M1,M2] [--mixes NAME1,NAME2] [--scratchpad-kb K1,K2] [--channels C1,C2] [--jobs N] [--threads N] [--step-mode MODE] [--max-cycles N] [--limit N] [--journal FILE] [--out FILE]\n  plasticine-run serve [--workers N] [--queue-depth N] [--deadline-ms N] [--socket PATH] [--retries N] [--scale N] [--threads N] [--faults SPEC] [--step-mode MODE] [--max-cycles N] [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep N]\n  plasticine-run chaos [benchmark...|all] [--seeds N] [--scale N] [--step-mode MODE] [--threads N] [--modes M1,M2] [--out FILE]\n\nrun options:\n  --config FILE      load a serialized artifact (`compile --out`) instead of compiling\n  --partition ROWS@Y0[/CH]  compile and run on a horizontal band: ROWS fabric\n                     rows starting at row Y0 owning CH DRAM channels\n                     (default 1); with --config, the flag must match the\n                     partition the artifact was compiled for (a mismatch\n                     is a usage error) and the simulated DRAM shrinks to\n                     the band's channel share, so the stats are\n                     byte-identical to the same tenant co-located under\n                     `multi`\n  --trace FILE       write a Chrome trace-viewer JSON (chrome://tracing, ui.perfetto.dev)\n  --stats-json FILE  write a machine-readable stats snapshot\n  --units            print the per-unit stall breakdown table\n  --faults SPEC      inject faults, e.g. pcu=3,pmu=2,links=5,banks=4,chan=1,seed=42\n                     (hard faults; transient rates: lane=P,sram=P,drop=P,retries=N)\n  --step-mode MODE   `event` (default: skip quiescent cycles) or `cycle`\n                     (step every cycle); statistics are bit-identical\n  --threads N        worker threads for the event kernel (default 1); results\n                     are byte-identical at any value — only wall-clock changes\n  --max-cycles N     cycle budget (default 500000000); exceeding it exits 6\n  --checkpoint-every N  write a checkpoint every N simulated cycles\n  --checkpoint-dir DIR  where checkpoints go (default `.`); enabling any\n                     checkpointing also auto-checkpoints on cycle-budget and\n                     deadlock failures, so those cycles can be resumed\n  --checkpoint-keep N  cycle-stamped auto-checkpoints retained per benchmark\n                     (default 3; older ones are pruned atomically — the\n                     fixed `<bench>.ckpt.json` slot always holds the newest)\n  --resume FILE      resume from a checkpoint instead of starting at cycle 0\n                     (stats are bit-identical to an uninterrupted run)\n  --fault-timeline SPEC  schedule online fault arrivals, e.g.\n                     units=2,links=1,banks=1,esc=1,horizon=4096,seed=7,band=4@0,detect=8\n                     (sampled deterministically; an arrival that impacts the\n                     running program exits 8 `fabric degraded` with a\n                     resumable auto-checkpoint when a checkpoint dir is set)\n  --heal             self-heal through degraded exits instead of exiting 8:\n                     absorb the arrivals, relocate to the lowest healthy\n                     pattern-equivalent band, resume the degrade checkpoint\n                     there; final stats are byte-identical to resuming the\n                     checkpoint on that band manually (requires --partition;\n                     incompatible with --config/--trace/--resume and the\n                     checkpointing flags)\n  (checkpointing and --trace are mutually exclusive)\n(with `run all`, the benchmark name is inserted into each output file name)\n\ncompile options:\n  --out FILE         write the full compile artifact (config + placement +\n                     analysis, versioned and content-hashed) for `run --config`\n  --bitstream FILE   write only the machine configuration\n  --partition ROWS@Y0[/CH]  confine placement and routing to the band; the\n                     partition is recorded in the artifact, and the same\n                     geometry at a different Y0 yields a relocated,\n                     hash-distinct bitstream\n\nmulti options:\n  co-locate several programs on one chip, each on its own disjoint band\n  with its own DRAM-channel share, under deterministic weighted\n  round-robin channel arbitration; every tenant's stats are byte-identical\n  to running it alone via `run --partition` on the same band\n  NAME=ROWS[/CH]     tenant spec: bench NAME on a best-fit band of ROWS rows\n                     owning CH channels (default 1); NAME=ROWS@Y0[/CH] pins\n                     the band at row Y0 instead\n  --quantum N        cycles per arbitration credit: each round a tenant\n                     advances CH x N cycles (default 2048); stats are\n                     quantum-independent\n  --evict IDX        after one round, evict tenant IDX (checkpoint at its\n                     quantum boundary, free its band) and resume it as a new\n                     tenant — final stats match an uninterrupted run\n  --stats-json FILE  per-tenant stats snapshots (bench name inserted into\n                     the file name)\n\nbatch options:\n  --jobs N           concurrent jobs (default: available cores / --threads,\n                     so jobs x threads covers the machine exactly once)\n  --threads N        simulator threads per job (default 1); byte-identical\n  --timeout SECS     per-job wall-clock limit; a job past it is abandoned and\n                     reported as timed out while the rest of the batch continues\n  --retries N        re-run a job that fails with transient-fault exhaustion up\n                     to N extra times (exponential backoff between attempts)\n  --journal FILE     append-style progress journal; a re-invoked batch with the\n                     same journal skips completed jobs and, with a checkpoint\n                     dir, resumes interrupted ones mid-run\n  --fail-fast        stop scheduling new jobs after the first failure (the\n                     default runs everything and prints a failure report)\n  (workers share one compile cache; output order is deterministic)\n\ndse search options:\n  a resumable multi-objective search over the PlasticineParams design\n  space: each grid point (cross product of the axis lists below) is\n  compiled + simulated against the chosen workload mix and priced with\n  the area/power models; the output is the Pareto frontier over\n  perf / area / perf-per-W (dominated points pruned incrementally)\n  --lanes L1,L2      candidate PCU SIMD lane counts (default 8,16)\n  --stages S1,S2     candidate PCU pipeline stage counts (default 5,6)\n  --mix M1,M2        candidate grid mixes: `checkerboard`/`cb` or\n                     `pmuheavy`/`ph` (default checkerboard)\n  --mixes NAME1,NAME2  score named workload mixes (`dense`, `sparse`, `ml`)\n                     in the same pass: every point is still compiled and\n                     simulated once per workload, but each mix re-weights\n                     the shared measurements into its own objectives and\n                     Pareto frontier, and the report adds the\n                     robust-across-mixes intersection\n  --scratchpad-kb K1,K2  candidate per-PMU scratchpad KiB (default 128,256)\n  --channels C1,C2   candidate DRAM channel counts (default 2,4)\n  --limit N          evaluate at most N new points this invocation; the\n                     rest are reported `not run` and picked up when the\n                     same --journal is passed again\n  --journal FILE     progress journal (shared format with `batch`); done\n                     points are restored with their exact measured\n                     objectives, so a resumed search emits a frontier\n                     byte-identical to an uninterrupted one\n  --out FILE         write the cumulative report (all points + frontier)\n                     as JSON; deterministic across worker counts\n  points the design cannot run (invalid params, does not fit even after\n  degradation, deadlock, cycle budget) are typed `infeasible` skips, not\n  failures; the exit code reflects only real failures\n\nserve options:\n  a long-lived daemon: line-delimited JSON requests on stdin (responses on\n  stdout) and, with --socket, on a Unix socket shared by many clients;\n  ops: compile, run, batch, stats, shutdown, plus the multi-tenant\n  scheduler ops submit (queue a program onto a free partition), tenants\n  (list tenant states), and evict (checkpoint + requeue a resident)\n  (see DESIGN.md sections 13 and 15)\n  --workers N        worker threads executing requests (default: cores)\n  --queue-depth N    admission-queue bound (default: 2x workers); requests\n                     beyond it are shed with a typed `overloaded` response\n  --deadline-ms N    per-request wall-clock deadline measured from admission\n                     (default 60000); a request past it is abandoned with a\n                     typed error while the daemon keeps serving\n  --retries N        re-run a request failing with fault exhaustion up to N\n                     extra times (jittered backoff), then degrade its\n                     parallelization until it fits the surviving fabric\n  (the remaining flags set per-request defaults; response `status` strings\n  mirror the exit codes below, plus service-only `overloaded` and\n  `shutting_down` with code 7)\n\nchaos options:\n  a deterministic chaos soak: every pinned seed replays a random fault\n  timeline against one workload on one surface (solo self-healing run,\n  two co-resident `multi` tenants, or a live fabric scheduler) and checks\n  the robustness invariants — no panics, typed statuses only, healed\n  stats byte-identical to a manual resume, co-resident isolation intact\n  (exit 0 only when every iteration holds them)\n  --seeds N          iterations; seeds are pinned 1..=N (default 20)\n  --modes M1,M2      surfaces to rotate through: solo, multi, sched\n                     (default all three)\n  --out FILE         write the machine-readable soak report as JSON\n\nexit codes: 0 ok, 1 runtime, 2 usage, 3 compile, 4 deadlock, 5 fault exhaustion,\n            6 cycle budget exceeded, 8 fabric degraded"
+        "usage:\n  plasticine-run list\n  plasticine-run run <benchmark|all> [--scale N] [--config FILE] [--partition ROWS@Y0[/CH]] [--trace FILE] [--stats-json FILE] [--units] [--faults SPEC] [--step-mode MODE] [--max-cycles N] [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep N] [--resume FILE] [--fault-timeline SPEC] [--heal]\n  plasticine-run compile <benchmark> [--scale N] [--faults SPEC] [--partition ROWS@Y0[/CH]] [--out FILE] [--bitstream FILE]\n  plasticine-run multi <NAME=ROWS[@Y0][/CH]...> [--scale N] [--step-mode MODE] [--max-cycles N] [--quantum N] [--evict IDX] [--stats-json FILE]\n  plasticine-run batch <benchmark...|all> [--scale N] [--jobs N] [--stats-json FILE] [--faults SPEC] [--step-mode MODE] [--max-cycles N] [--timeout SECS] [--retries N] [--journal FILE] [--fail-fast] [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep N]\n  plasticine-run dse search <benchmark...|all> [--scale N] [--lanes L1,L2] [--stages S1,S2] [--mix M1,M2] [--mixes NAME1,NAME2] [--scratchpad-kb K1,K2] [--channels C1,C2] [--jobs N] [--step-mode MODE] [--max-cycles N] [--limit N] [--journal FILE] [--out FILE]\n  plasticine-run serve [--workers N] [--queue-depth N] [--deadline-ms N] [--socket PATH] [--retries N] [--scale N] [--faults SPEC] [--step-mode MODE] [--max-cycles N] [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep N]\n  plasticine-run chaos [benchmark...|all] [--seeds N] [--scale N] [--step-mode MODE] [--modes M1,M2] [--out FILE]\n\nrun options:\n  --config FILE      load a serialized artifact (`compile --out`) instead of compiling\n  --partition ROWS@Y0[/CH]  compile and run on a horizontal band: ROWS fabric\n                     rows starting at row Y0 owning CH DRAM channels\n                     (default 1); with --config, the flag must match the\n                     partition the artifact was compiled for (a mismatch\n                     is a usage error) and the simulated DRAM shrinks to\n                     the band's channel share, so the stats are\n                     byte-identical to the same tenant co-located under\n                     `multi`\n  --trace FILE       write a Chrome trace-viewer JSON (chrome://tracing, ui.perfetto.dev)\n  --stats-json FILE  write a machine-readable stats snapshot\n  --units            print the per-unit stall breakdown table\n  --faults SPEC      inject faults, e.g. pcu=3,pmu=2,links=5,banks=4,chan=1,seed=42\n                     (hard faults; transient rates: lane=P,sram=P,drop=P,retries=N)\n  --step-mode MODE   `event` (default: skip quiescent cycles) or `cycle`\n                     (step every cycle); statistics are bit-identical\n  --max-cycles N     cycle budget (default 500000000); exceeding it exits 6\n  --checkpoint-every N  write a checkpoint every N simulated cycles\n  --checkpoint-dir DIR  where checkpoints go (default `.`); enabling any\n                     checkpointing also auto-checkpoints on cycle-budget and\n                     deadlock failures, so those cycles can be resumed\n  --checkpoint-keep N  cycle-stamped auto-checkpoints retained per benchmark\n                     (default 3; older ones are pruned atomically — the\n                     fixed `<bench>.ckpt.json` slot always holds the newest)\n  --resume FILE      resume from a checkpoint instead of starting at cycle 0\n                     (stats are bit-identical to an uninterrupted run)\n  --fault-timeline SPEC  schedule online fault arrivals, e.g.\n                     units=2,links=1,banks=1,esc=1,horizon=4096,seed=7,band=4@0,detect=8\n                     (sampled deterministically; an arrival that impacts the\n                     running program exits 8 `fabric degraded` with a\n                     resumable auto-checkpoint when a checkpoint dir is set)\n  --heal             self-heal through degraded exits instead of exiting 8:\n                     absorb the arrivals, relocate to the lowest healthy\n                     pattern-equivalent band, resume the degrade checkpoint\n                     there; final stats are byte-identical to resuming the\n                     checkpoint on that band manually (requires --partition;\n                     incompatible with --config/--trace/--resume and the\n                     checkpointing flags)\n  (checkpointing and --trace are mutually exclusive)\n(with `run all`, the benchmark name is inserted into each output file name)\n\ncompile options:\n  --out FILE         write the full compile artifact (config + placement +\n                     analysis, versioned and content-hashed) for `run --config`\n  --bitstream FILE   write only the machine configuration\n  --partition ROWS@Y0[/CH]  confine placement and routing to the band; the\n                     partition is recorded in the artifact, and the same\n                     geometry at a different Y0 yields a relocated,\n                     hash-distinct bitstream\n\nmulti options:\n  co-locate several programs on one chip, each on its own disjoint band\n  with its own DRAM-channel share, under deterministic weighted\n  round-robin channel arbitration; every tenant's stats are byte-identical\n  to running it alone via `run --partition` on the same band\n  NAME=ROWS[/CH]     tenant spec: bench NAME on a best-fit band of ROWS rows\n                     owning CH channels (default 1); NAME=ROWS@Y0[/CH] pins\n                     the band at row Y0 instead\n  --quantum N        cycles per arbitration credit: each round a tenant\n                     advances CH x N cycles (default 2048); stats are\n                     quantum-independent\n  --evict IDX        after one round, evict tenant IDX (checkpoint at its\n                     quantum boundary, free its band) and resume it as a new\n                     tenant — final stats match an uninterrupted run\n  --stats-json FILE  per-tenant stats snapshots (bench name inserted into\n                     the file name)\n\nbatch options:\n  --jobs N           concurrent jobs (default: available cores)\n  --timeout SECS     per-job wall-clock limit; a job past it is abandoned and\n                     reported as timed out while the rest of the batch continues\n  --retries N        re-run a job that fails with transient-fault exhaustion up\n                     to N extra times (exponential backoff between attempts)\n  --journal FILE     append-style progress journal; a re-invoked batch with the\n                     same journal skips completed jobs and, with a checkpoint\n                     dir, resumes interrupted ones mid-run\n  --fail-fast        stop scheduling new jobs after the first failure (the\n                     default runs everything and prints a failure report)\n  (workers share one compile cache; output order is deterministic)\n\ndse search options:\n  a resumable multi-objective search over the PlasticineParams design\n  space: each grid point (cross product of the axis lists below) is\n  compiled + simulated against the chosen workload mix and priced with\n  the area/power models; the output is the Pareto frontier over\n  perf / area / perf-per-W (dominated points pruned incrementally)\n  --lanes L1,L2      candidate PCU SIMD lane counts (default 8,16)\n  --stages S1,S2     candidate PCU pipeline stage counts (default 5,6)\n  --mix M1,M2        candidate grid mixes: `checkerboard`/`cb` or\n                     `pmuheavy`/`ph` (default checkerboard)\n  --mixes NAME1,NAME2  score named workload mixes (`dense`, `sparse`, `ml`)\n                     in the same pass: every point is still compiled and\n                     simulated once per workload, but each mix re-weights\n                     the shared measurements into its own objectives and\n                     Pareto frontier, and the report adds the\n                     robust-across-mixes intersection\n  --scratchpad-kb K1,K2  candidate per-PMU scratchpad KiB (default 128,256)\n  --channels C1,C2   candidate DRAM channel counts (default 2,4)\n  --limit N          evaluate at most N new points this invocation; the\n                     rest are reported `not run` and picked up when the\n                     same --journal is passed again\n  --journal FILE     progress journal (shared format with `batch`); done\n                     points are restored with their exact measured\n                     objectives, so a resumed search emits a frontier\n                     byte-identical to an uninterrupted one\n  --out FILE         write the cumulative report (all points + frontier)\n                     as JSON; deterministic across worker counts\n  points the design cannot run (invalid params, does not fit even after\n  degradation, deadlock, cycle budget) are typed `infeasible` skips, not\n  failures; the exit code reflects only real failures\n\nserve options:\n  a long-lived daemon: line-delimited JSON requests on stdin (responses on\n  stdout) and, with --socket, on a Unix socket shared by many clients;\n  ops: compile, run, batch, stats, shutdown, plus the multi-tenant\n  scheduler ops submit (queue a program onto a free partition), tenants\n  (list tenant states), and evict (checkpoint + requeue a resident)\n  (see DESIGN.md sections 13 and 15)\n  --workers N        worker threads executing requests (default: cores)\n  --queue-depth N    admission-queue bound (default: 2x workers); requests\n                     beyond it are shed with a typed `overloaded` response\n  --deadline-ms N    per-request wall-clock deadline measured from admission\n                     (default 60000); a request past it is abandoned with a\n                     typed error while the daemon keeps serving\n  --retries N        re-run a request failing with fault exhaustion up to N\n                     extra times (jittered backoff), then degrade its\n                     parallelization until it fits the surviving fabric\n  (the remaining flags set per-request defaults; response `status` strings\n  mirror the exit codes below, plus service-only `overloaded` and\n  `shutting_down` with code 7)\n\nchaos options:\n  a deterministic chaos soak: every pinned seed replays a random fault\n  timeline against one workload on one surface (solo self-healing run,\n  two co-resident `multi` tenants, or a live fabric scheduler) and checks\n  the robustness invariants — no panics, typed statuses only, healed\n  stats byte-identical to a manual resume, co-resident isolation intact\n  (exit 0 only when every iteration holds them)\n  --seeds N          iterations; seeds are pinned 1..=N (default 20)\n  --modes M1,M2      surfaces to rotate through: solo, multi, sched\n                     (default all three)\n  --out FILE         write the machine-readable soak report as JSON\n\nexit codes: 0 ok, 1 runtime, 2 usage, 3 compile, 4 deadlock, 5 fault exhaustion,\n            6 cycle budget exceeded, 8 fabric degraded"
     );
     ExitStatus::Usage.into()
 }
@@ -66,7 +65,6 @@ struct Flags {
     out: Option<String>,
     config: Option<String>,
     jobs: usize,
-    threads: usize,
     step: StepMode,
     max_cycles: Option<u64>,
     checkpoint_every: Option<u64>,
@@ -114,10 +112,18 @@ fn parse_usize_list(v: &str, flag: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
+/// `--jobs N`, or every available core when the flag is absent.
+fn jobs_or_cores(jobs: usize) -> usize {
+    if jobs > 0 {
+        jobs
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+}
+
 fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, String> {
     let mut f = Flags {
         scale: 1,
-        threads: 1,
         ..Flags::default()
     };
     let mut i = 0;
@@ -151,14 +157,6 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, String> {
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| format!("--jobs requires a positive integer, got `{v}`"))?;
-            }
-            "--threads" => {
-                // `0` threads cannot run anything and an overflowing value
-                // fails the usize parse; both are usage errors, not clamps.
-                f.threads =
-                    v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--threads requires a positive integer, got `{v}`")
-                    })?;
             }
             "--max-cycles" => {
                 f.max_cycles =
@@ -394,7 +392,6 @@ struct RunConfig {
     units: bool,
     faults: FaultMap,
     step: StepMode,
-    threads: usize,
     max_cycles: Option<u64>,
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<String>,
@@ -530,7 +527,6 @@ fn run_one(bench: &Bench, params: &PlasticineParams, cfg: &RunConfig) -> Result<
     let mut opts = SimOptions {
         faults: cfg.faults.clone(),
         step: cfg.step,
-        threads: cfg.threads,
         ..SimOptions::default()
     };
     if let Some(n) = cfg.max_cycles {
@@ -669,7 +665,6 @@ fn run_one(bench: &Bench, params: &PlasticineParams, cfg: &RunConfig) -> Result<
 #[derive(Clone)]
 struct BatchConfig {
     jobs: usize,
-    threads: usize,
     faults: FaultMap,
     step: StepMode,
     stats: Option<String>,
@@ -734,7 +729,6 @@ fn batch_one(
     let mut opts = SimOptions {
         faults: cfg.faults.clone(),
         step: cfg.step,
-        threads: cfg.threads,
         ..SimOptions::default()
     };
     if let Some(n) = cfg.max_cycles {
@@ -804,46 +798,27 @@ fn batch_one(
     Ok(text)
 }
 
-/// Runs one job attempt on its own thread so the supervisor can enforce a
-/// wall-clock limit and absorb panics. On timeout the worker thread is
-/// abandoned (it holds no locks the batch needs; the process reaps it at
-/// exit) and the attempt reports as a runtime failure.
+/// Runs one job attempt under [`contain`] so the supervisor can enforce a
+/// wall-clock limit and absorb panics; either becomes a runtime failure.
+/// An abandoned attempt holds no lock the batch needs.
 fn run_attempt(
     bench: &Bench,
     params: &PlasticineParams,
     cache: &Arc<CompileCache>,
     cfg: &BatchConfig,
 ) -> Result<String, RunFailure> {
-    let (tx, rx) = mpsc::channel();
     let (b, p, ca, cf) = (
         bench.clone(),
         params.clone(),
         Arc::clone(cache),
         cfg.clone(),
     );
-    let handle = std::thread::spawn(move || {
-        let res = catch_unwind(AssertUnwindSafe(|| batch_one(&b, &p, &ca, &cf)));
-        let _ = tx.send(res);
-    });
-    let received = match cfg.timeout {
-        Some(limit) => rx.recv_timeout(limit).map_err(|_| limit),
-        None => rx.recv().map_err(|_| Duration::ZERO),
-    };
-    match received {
-        Ok(res) => {
-            let _ = handle.join();
-            res.unwrap_or_else(|panic| {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                Err(RunFailure::other(format!("worker panicked: {msg}")))
-            })
-        }
-        Err(limit) => Err(RunFailure::other(format!(
+    match contain(cfg.timeout, move || batch_one(&b, &p, &ca, &cf)) {
+        Ok(res) => res,
+        Err(Escape::Panicked(msg)) => Err(RunFailure::other(format!("worker panicked: {msg}"))),
+        Err(Escape::TimedOut) => Err(RunFailure::other(format!(
             "timed out after {}s (worker abandoned)",
-            limit.as_secs()
+            cfg.timeout.unwrap_or_default().as_secs()
         ))),
     }
 }
@@ -1119,7 +1094,6 @@ fn main() -> ExitCode {
                     "--units",
                     "--faults",
                     "--step-mode",
-                    "--threads",
                     "--max-cycles",
                     "--checkpoint-every",
                     "--checkpoint-dir",
@@ -1229,7 +1203,6 @@ fn main() -> ExitCode {
                     units: flags.units,
                     faults: faults.clone(),
                     step: flags.step,
-                    threads: flags.threads,
                     max_cycles: flags.max_cycles,
                     checkpoint_every: flags.checkpoint_every,
                     checkpoint_dir: flags.checkpoint_dir.clone(),
@@ -1260,7 +1233,6 @@ fn main() -> ExitCode {
                 &[
                     "--scale",
                     "--step-mode",
-                    "--threads",
                     "--max-cycles",
                     "--quantum",
                     "--evict",
@@ -1367,7 +1339,6 @@ fn main() -> ExitCode {
                 }
                 let mut opts = SimOptions {
                     step: flags.step,
-                    threads: flags.threads,
                     ..SimOptions::default()
                 };
                 if let Some(n) = flags.max_cycles {
@@ -1574,7 +1545,6 @@ fn main() -> ExitCode {
                 &[
                     "--scale",
                     "--jobs",
-                    "--threads",
                     "--stats-json",
                     "--faults",
                     "--step-mode",
@@ -1619,18 +1589,8 @@ fn main() -> ExitCode {
             if flags.faults.is_some() {
                 println!("fault map: {}", faults.summary());
             }
-            // Budget: jobs × threads should cover the machine once. An
-            // explicit --jobs wins; otherwise divide the available cores
-            // by the per-job simulator threads.
-            let jobs = if flags.jobs > 0 {
-                flags.jobs
-            } else {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                (cores / flags.threads).max(1)
-            };
             let cfg = BatchConfig {
-                jobs,
-                threads: flags.threads,
+                jobs: jobs_or_cores(flags.jobs),
                 faults,
                 step: flags.step,
                 stats: flags.stats.clone(),
@@ -1663,7 +1623,6 @@ fn main() -> ExitCode {
                 &[
                     "--scale",
                     "--jobs",
-                    "--threads",
                     "--step-mode",
                     "--max-cycles",
                     "--journal",
@@ -1706,19 +1665,12 @@ fn main() -> ExitCode {
                 scratchpad_kb: flags.scratchpad_kb.unwrap_or(defaults.scratchpad_kb),
                 dram_channels: flags.channels.unwrap_or(defaults.dram_channels),
             };
-            let jobs = if flags.jobs > 0 {
-                flags.jobs
-            } else {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                (cores / flags.threads).max(1)
-            };
             let cfg = plasticine::dse::SearchConfig {
                 grid,
                 scale,
-                jobs,
+                jobs: jobs_or_cores(flags.jobs),
                 step: flags.step,
                 max_cycles: flags.max_cycles.unwrap_or(SimOptions::default().max_cycles),
-                threads: flags.threads,
                 limit: flags.limit,
                 mixes: flags.workload_mixes.clone().unwrap_or_default(),
             };
@@ -1756,14 +1708,7 @@ fn main() -> ExitCode {
                 .collect();
             let flags = match parse_flags(
                 &args[1 + names.len()..],
-                &[
-                    "--seeds",
-                    "--scale",
-                    "--step-mode",
-                    "--threads",
-                    "--modes",
-                    "--out",
-                ],
+                &["--seeds", "--scale", "--step-mode", "--modes", "--out"],
             ) {
                 Ok(f) => f,
                 Err(e) => {
@@ -1774,7 +1719,6 @@ fn main() -> ExitCode {
             let mut cfg = chaos::SoakConfig {
                 scale: flags.scale,
                 step: flags.step,
-                threads: flags.threads,
                 ..chaos::SoakConfig::default()
             };
             if let Some(n) = flags.seeds {
@@ -1853,7 +1797,6 @@ fn main() -> ExitCode {
                     "--socket",
                     "--retries",
                     "--scale",
-                    "--threads",
                     "--faults",
                     "--step-mode",
                     "--max-cycles",
@@ -1889,7 +1832,6 @@ fn main() -> ExitCode {
             opts.defaults = RequestDefaults {
                 scale: flags.scale,
                 step: flags.step,
-                threads: flags.threads,
                 max_cycles: flags.max_cycles,
                 faults: flags.faults.clone(),
                 checkpoint_every: flags.checkpoint_every,

@@ -103,27 +103,6 @@ pub fn resume_on(
     run_segment(bench, params, band, opts, Some(resume))
 }
 
-/// The lowest healthy band pattern-equivalent to `cur` (which may be
-/// `cur` itself when the damage missed it — e.g. a channel failure, which
-/// is tenant-relative and leaves the fabric intact).
-fn next_healthy_band(
-    topo: &Topology,
-    health: &HealthMap,
-    params: &PlasticineParams,
-    cur: &Partition,
-) -> Option<Partition> {
-    let period = params.mix.vertical_period().max(1);
-    let mut y0 = cur.y0 % period;
-    while y0 + cur.rows <= params.rows {
-        let cand = Partition::new(y0, cur.rows, cur.channels);
-        if health.band_is_healthy(topo, &cand) {
-            return Some(cand);
-        }
-        y0 += period;
-    }
-    None
-}
-
 /// Runs `bench` on `band` under `opts` (whose `timeline` schedules the
 /// fault arrivals), healing through every degraded exit: the new hard
 /// faults join a local [`HealthMap`], the run relocates to the lowest
@@ -182,7 +161,7 @@ pub fn run_healed(
                     }
                 }
                 watermark = report.cycle;
-                let Some(next) = next_healthy_band(&topo, &health, params, &cur) else {
+                let Some(next) = health.lowest_healthy_band(&topo, &cur, params.mix) else {
                     return Err(SimError::FabricDegraded(report));
                 };
                 if next != cur {
@@ -244,8 +223,6 @@ pub struct SoakConfig {
     pub seeds: u64,
     /// Step mode for every simulation in the soak.
     pub step: plasticine_sim::StepMode,
-    /// Simulator threads for every simulation in the soak.
-    pub threads: usize,
     /// Surfaces to rotate through.
     pub modes: Vec<SoakMode>,
 }
@@ -261,7 +238,6 @@ impl Default for SoakConfig {
             scale: 1,
             seeds: 20,
             step: plasticine_sim::StepMode::default(),
-            threads: 1,
             modes: vec![SoakMode::Solo, SoakMode::Multi, SoakMode::Sched],
         }
     }
@@ -383,7 +359,6 @@ fn soak_timeline(params: &PlasticineParams, seed: u64, band: Partition) -> Fault
 fn soak_opts(cfg: &SoakConfig, timeline: FaultTimeline) -> SimOptions {
     let mut opts = SimOptions {
         step: cfg.step,
-        threads: cfg.threads,
         ..SimOptions::default()
     };
     opts.timeline = timeline;
@@ -620,7 +595,6 @@ fn soak_sched(params: &PlasticineParams, cfg: &SoakConfig, seed: u64, name: &str
         rows,
         channels,
         step: cfg.step,
-        threads: cfg.threads,
         max_cycles: None,
         timeline,
     };

@@ -65,9 +65,6 @@ pub struct SearchConfig {
     pub step: StepMode,
     /// Per-simulation cycle budget (a blown budget is a typed skip).
     pub max_cycles: u64,
-    /// Simulator threads per evaluation (results are identical at any
-    /// value).
-    pub threads: usize,
     /// Cap on *new* evaluations this invocation; pending points beyond
     /// the cap are reported as not-run and picked up on the next
     /// invocation. This is how tests interrupt a search mid-flight
@@ -91,7 +88,6 @@ impl Default for SearchConfig {
             jobs: 1,
             step: StepMode::Event,
             max_cycles: SimOptions::default().max_cycles,
-            threads: 1,
             limit: None,
             mixes: Vec::new(),
         }
@@ -445,7 +441,6 @@ fn evaluate(
     let copts = CompileOptions::new();
     let mut opts = SimOptions {
         step: cfg.step,
-        threads: cfg.threads,
         max_cycles: cfg.max_cycles,
         ..SimOptions::default()
     };

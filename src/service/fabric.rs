@@ -64,8 +64,6 @@ pub struct SubmitSpec {
     pub channels: usize,
     /// Step mode for the tenant's simulation.
     pub step: StepMode,
-    /// Simulator threads for the tenant's simulation.
-    pub threads: usize,
     /// Cycle budget (`None` = simulator default).
     pub max_cycles: Option<u64>,
     /// Scheduled online fault arrivals for the tenant's run (sampled by
@@ -617,7 +615,6 @@ fn plan_admissions(g: &mut FabricState) -> Vec<Admission> {
             (t.spec.rows, t.spec.channels, anchor)
         };
         let mix = g.mix;
-        let rows_total = g.rows_total;
         let FabricState {
             table,
             topo,
@@ -633,9 +630,9 @@ fn plan_admissions(g: &mut FabricState) -> Vec<Admission> {
             Some(a) => {
                 match table.allocate_compatible_where(rows, channels, a.y0, mix, healthy) {
                     Some(band) => Some((band, true)),
-                    None if healthy_compatible_band_exists(
-                        topo, health, rows_total, rows, channels, a.y0, mix,
-                    ) =>
+                    None if health
+                        .lowest_healthy_band(topo, &Partition::new(a.y0, rows, channels), mix)
+                        .is_some() =>
                     {
                         // A healthy compatible band exists but is
                         // occupied: wait for it rather than forfeit the
@@ -686,30 +683,6 @@ fn plan_admissions(g: &mut FabricState) -> Vec<Admission> {
     }
     g.pending = still_pending;
     admits
-}
-
-/// Could a healthy band pattern-equivalent to `anchor_y0` exist on an
-/// *empty* chip? When even that fails, the accumulated damage blankets
-/// every compatible offset and a checkpointed tenant waiting for one
-/// would wait forever.
-fn healthy_compatible_band_exists(
-    topo: &Topology,
-    health: &HealthMap,
-    rows_total: usize,
-    rows: usize,
-    channels: usize,
-    anchor_y0: usize,
-    mix: GridMix,
-) -> bool {
-    let period = mix.vertical_period().max(1);
-    let mut y0 = anchor_y0 % period;
-    while y0 + rows <= rows_total {
-        if health.band_is_healthy(topo, &Partition::new(y0, rows, channels)) {
-            return true;
-        }
-        y0 += period;
-    }
-    false
 }
 
 /// When the head of the queue cannot fit but would after checkpointing
@@ -786,7 +759,6 @@ fn build_resident(
     bench.load(&mut m);
     let mut opts = SimOptions {
         step: spec.step,
-        threads: spec.threads,
         ..SimOptions::default()
     };
     // The tenant simulates against exactly its DRAM-channel share.

@@ -9,8 +9,8 @@
 //!
 //! The helpers at this level ([`stats_with_bench`], [`checkpoint_path`],
 //! the [`emit_checkpoint`]/[`latest_checkpoint`]/[`prune_checkpoints`]
-//! retention family, [`env_lists_bench`], [`jittered_backoff_ms`]) are
-//! shared between the
+//! retention family, [`env_lists_bench`], [`jittered_backoff_ms`],
+//! [`contain`]) are shared between the
 //! daemon and the one-shot CLI binary so their behavior cannot drift
 //! apart — the byte-identity contract (a served `run`'s stats equal the
 //! one-shot `--stats-json` output) depends on it.
@@ -27,7 +27,10 @@ use plasticine_json::hash::fnv1a_str;
 use plasticine_json::Json;
 use plasticine_sim::SimResult;
 use plasticine_workloads::Bench;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// The stats snapshot written by `--stats-json` and embedded in served
 /// `run` responses, with the benchmark name prepended. Both consumers
@@ -153,6 +156,47 @@ pub fn jittered_backoff_ms(seed: u64, key: &str, attempt: u32) -> u64 {
     let base = 50u64 << u64::from(attempt - 1).min(6);
     let mut rng = FaultRng::new(seed ^ fnv1a_str(key) ^ u64::from(attempt));
     base + rng.below(base / 2 + 1)
+}
+
+/// Why a [`contain`]ed call produced no value.
+#[derive(Debug)]
+pub enum Escape {
+    /// It panicked; the payload's message.
+    Panicked(String),
+    /// It outlived its time limit and was abandoned.
+    TimedOut,
+}
+
+/// Runs `f` on its own thread under `catch_unwind`, waiting at most
+/// `limit` for it (for ever when `None`). On timeout the thread is
+/// abandoned: it must hold nothing the caller needs, and the process
+/// reaps it at exit. A panic comes back as its message, so one failing
+/// job or request cannot take down the batch or the daemon; each caller
+/// maps an [`Escape`] to its own failure type.
+pub fn contain<T: Send + 'static>(
+    limit: Option<Duration>,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> Result<T, Escape> {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+    });
+    let received = match limit {
+        Some(limit) => rx.recv_timeout(limit).map_err(|_| Escape::TimedOut)?,
+        None => rx.recv().map_err(|_| Escape::TimedOut)?,
+    };
+    let _ = handle.join();
+    received.map_err(|panic| Escape::Panicked(panic_message(&*panic)))
+}
+
+/// The message a panic was raised with, or a placeholder for a payload
+/// that is not a string.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]

@@ -85,8 +85,6 @@ pub struct Request {
     pub faults: Option<String>,
     /// `event` or `cycle`.
     pub step: Option<StepMode>,
-    /// Simulator worker threads for this request.
-    pub threads: Option<usize>,
     /// Cycle budget for this request.
     pub max_cycles: Option<u64>,
     /// `compile` only: server-side path to write the artifact to.
@@ -158,14 +156,16 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<Json>, String)> {
                 .ok_or_else(|| err("`scale` must be a positive integer".to_string()))?,
         ),
     };
-    let threads = match j.get("threads") {
-        None => None,
-        Some(v) => Some(
-            v.as_usize()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| err("`threads` must be a positive integer".to_string()))?,
-        ),
-    };
+    // Unknown fields are otherwise ignored. `threads` is refused so that a
+    // client asking for parallelism inside one run learns where parallelism
+    // is, instead of silently running serially.
+    if j.get("threads").is_some() {
+        return Err(err(
+            "`threads` is not a request field: one simulation runs serially; \
+             run jobs in parallel with `batch --jobs` or serve `--workers`"
+                .to_string(),
+        ));
+    }
     let max_cycles = match j.get("max_cycles") {
         None => None,
         Some(v) => Some(
@@ -214,7 +214,6 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<Json>, String)> {
         scale,
         faults,
         step,
-        threads,
         max_cycles,
         out,
         rows,
@@ -274,18 +273,27 @@ mod tests {
     #[test]
     fn parses_a_full_run_request() {
         let r = parse_request(
-            r#"{"id": 7, "op": "run", "bench": "GEMM", "scale": 2, "threads": 4,
+            r#"{"id": 7, "op": "run", "bench": "GEMM", "scale": 2,
                 "max_cycles": 1000, "step_mode": "cycle", "faults": "drop=0.1,seed=3"}"#,
         )
         .unwrap();
         assert_eq!(r.op, Op::Run);
         assert_eq!(r.bench.as_deref(), Some("GEMM"));
         assert_eq!(r.scale, Some(2));
-        assert_eq!(r.threads, Some(4));
         assert_eq!(r.max_cycles, Some(1000));
         assert_eq!(r.step, Some(StepMode::Cycle));
         assert_eq!(r.faults.as_deref(), Some("drop=0.1,seed=3"));
         assert_eq!(r.id.unwrap().as_i64(), Some(7));
+    }
+
+    #[test]
+    fn a_threads_field_is_a_usage_error_naming_job_parallelism() {
+        let (id, msg) =
+            parse_request(r#"{"id": 8, "op": "run", "bench": "GEMM", "threads": 4}"#).unwrap_err();
+        assert_eq!(id.unwrap().as_i64(), Some(8));
+        for needle in ["`threads`", "batch --jobs", "--workers"] {
+            assert!(msg.contains(needle), "{msg}");
+        }
     }
 
     #[test]

@@ -43,7 +43,10 @@ use super::proto::{
     error_response, overloaded_response, parse_request, response_head, shutting_down_response, Op,
     Request,
 };
-use super::{checkpoint_path, env_lists_bench, jittered_backoff_ms, stats_with_bench};
+use super::{
+    checkpoint_path, contain, env_lists_bench, jittered_backoff_ms, panic_message,
+    stats_with_bench, Escape,
+};
 use plasticine_arch::{
     FaultMap, FaultSpec, FaultTimeline, FaultTimelineSpec, PlasticineParams, Topology,
 };
@@ -60,7 +63,7 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-request option defaults, set on the `serve` command line and
@@ -72,8 +75,6 @@ pub struct RequestDefaults {
     pub scale: usize,
     /// Step mode when a request names none.
     pub step: StepMode,
-    /// Simulator threads per request when a request names none.
-    pub threads: usize,
     /// Cycle budget when a request names none (`None` = simulator
     /// default).
     pub max_cycles: Option<u64>,
@@ -99,7 +100,6 @@ impl Default for RequestDefaults {
         RequestDefaults {
             scale: 1,
             step: StepMode::default(),
-            threads: 1,
             max_cycles: None,
             faults: None,
             checkpoint_every: None,
@@ -590,7 +590,6 @@ struct Eff {
     faults: FaultMap,
     seed: u64,
     step: StepMode,
-    threads: usize,
     max_cycles: Option<u64>,
 }
 
@@ -635,7 +634,6 @@ fn submit_tenant(shared: &Shared, req: &Request) -> Result<Vec<(String, Json)>, 
         rows,
         channels,
         step: req.step.unwrap_or(d.step),
-        threads: req.threads.unwrap_or(d.threads),
         max_cycles: req.max_cycles.or(d.max_cycles),
         timeline,
     };
@@ -693,7 +691,6 @@ fn resolve_bench(shared: &Shared, req: &Request, name: &str) -> Result<Eff, Fail
         faults,
         seed,
         step: req.step.unwrap_or(d.step),
-        threads: req.threads.unwrap_or(d.threads),
         max_cycles: req.max_cycles.or(d.max_cycles),
     })
 }
@@ -722,11 +719,8 @@ fn execute_job(shared: &Arc<Shared>, req: Request) -> Json {
     }
 }
 
-/// Runs `f` on its own thread under `catch_unwind`, bounded by what is
-/// left of the request's deadline. On timeout the attempt thread is
-/// abandoned (it holds nothing the daemon needs) and the request reports
-/// a typed runtime failure — the batch supervisor's containment, per
-/// request.
+/// Runs `f` under [`contain`], bounded by what is left of the request's
+/// deadline; a panic or a timeout becomes a typed runtime failure.
 fn contained<T: Send + 'static>(
     deadline: Duration,
     enqueued: Instant,
@@ -741,27 +735,13 @@ fn contained<T: Send + 'static>(
             ),
         ));
     };
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let res = catch_unwind(AssertUnwindSafe(f));
-        let _ = tx.send(res);
-    });
-    match rx.recv_timeout(remaining) {
-        Ok(res) => {
-            let _ = handle.join();
-            res.unwrap_or_else(|panic| {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                Err(Failure::new(
-                    ExitStatus::Runtime,
-                    format!("worker panicked: {msg}"),
-                ))
-            })
-        }
-        Err(_) => Err(Failure::new(
+    match contain(Some(remaining), f) {
+        Ok(res) => res,
+        Err(Escape::Panicked(msg)) => Err(Failure::new(
+            ExitStatus::Runtime,
+            format!("worker panicked: {msg}"),
+        )),
+        Err(Escape::TimedOut) => Err(Failure::new(
             ExitStatus::Runtime,
             format!(
                 "deadline exceeded after {}ms (request abandoned)",
@@ -804,7 +784,6 @@ fn run_once(
     let mut opts = SimOptions {
         faults: eff.faults.clone(),
         step: eff.step,
-        threads: eff.threads,
         ..SimOptions::default()
     };
     if let Some(n) = eff.max_cycles {
@@ -1071,14 +1050,9 @@ fn execute_batch(shared: &Arc<Shared>, req: &Request) -> Result<Vec<(String, Jso
             // whole batch response.
             let res = catch_unwind(AssertUnwindSafe(|| run_pipeline(&shared2, eff)))
                 .unwrap_or_else(|panic| {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
                     Err(Failure::new(
                         ExitStatus::Runtime,
-                        format!("worker panicked: {msg}"),
+                        format!("worker panicked: {}", panic_message(&*panic)),
                     ))
                 });
             match res {

@@ -70,22 +70,9 @@ fn bad_arguments_exit_usage_with_a_message() {
         ),
         (vec!["batch", "all", "--timeout", "0"], "--timeout"),
         (vec!["batch", "all", "--retries", "x"], "--retries"),
-        (vec!["run", "InnerProduct", "--threads", "0"], "--threads"),
-        (vec!["run", "InnerProduct", "--threads", "-2"], "--threads"),
-        (
-            vec!["run", "InnerProduct", "--threads", "99999999999999999999"],
-            "--threads",
-        ),
-        (
-            vec!["run", "InnerProduct", "--threads", "four"],
-            "--threads",
-        ),
-        (vec!["batch", "all", "--threads", "0"], "--threads"),
-        (
-            // `compile` has no simulation, so --threads is unknown there.
-            vec!["compile", "InnerProduct", "--threads", "2"],
-            "--threads",
-        ),
+        // One simulation runs serially; parallelism is `batch --jobs`.
+        (vec!["run", "InnerProduct", "--threads", "2"], "--threads"),
+        (vec!["batch", "all", "--threads", "2"], "--threads"),
         (
             vec!["run", "InnerProduct", "--max-cycles", "0"],
             "--max-cycles",
@@ -299,45 +286,24 @@ fn cli_checkpoint_resume_stats_are_bit_identical() {
     );
 }
 
-/// `--threads N` through the real binary: the parallel kernel's stats are
-/// byte-identical to serial, for a plain run and for a batch where each
-/// job runs multi-threaded.
+/// Through the real binary, a batch job's stats are byte-identical to a
+/// plain `run` of the same bench.
 #[test]
-fn threads_flag_is_byte_identical_through_the_cli() {
-    let dir = scratch("threads");
+fn batch_stats_match_a_single_run_through_the_cli() {
+    let dir = scratch("batch-vs-run");
     let o = run(
         &["run", "InnerProduct", "--stats-json", "base.json"],
         &[],
         &dir,
     );
     assert_eq!(o.status.code(), Some(0), "stderr: {}", stderr(&o));
-    let o = run(
-        &[
-            "run",
-            "InnerProduct",
-            "--threads",
-            "4",
-            "--stats-json",
-            "t4.json",
-        ],
-        &[],
-        &dir,
-    );
-    assert_eq!(o.status.code(), Some(0), "stderr: {}", stderr(&o));
     let base = std::fs::read_to_string(dir.join("base.json")).unwrap();
-    assert_eq!(
-        base,
-        std::fs::read_to_string(dir.join("t4.json")).unwrap(),
-        "run --threads 4 must not perturb stats"
-    );
     let o = run(
         &[
             "batch",
             "InnerProduct",
             "--jobs",
             "1",
-            "--threads",
-            "4",
             "--stats-json",
             "batch.json",
         ],
@@ -348,7 +314,7 @@ fn threads_flag_is_byte_identical_through_the_cli() {
     assert_eq!(
         base,
         std::fs::read_to_string(dir.join("batch-innerproduct.json")).unwrap(),
-        "batch --threads 4 must match the serial single run"
+        "batch must match the single run"
     );
 }
 

@@ -5,13 +5,17 @@
 //! stats **byte-identical** to an uninterrupted run — same cycle count,
 //! same stall attribution, same DRAM statistics, same fault-RNG stream.
 //!
+//! A property test repeats the round trip for random cadences under
+//! fault injection: lane/SRAM flips, hard faults with an offline DRAM
+//! channel, and DRAM response drops.
+//!
 //! The suite also pins the artifact format: encode→decode is a fixed
 //! point, tampered payloads fail with [`CheckpointError::Corrupt`], and a
 //! checkpoint taken from one program/bitstream/option-set refuses (with a
 //! typed [`CheckpointError::Mismatch`]) to resume against another.
 
-use plasticine::arch::PlasticineParams;
-use plasticine::compiler::{compile, CompileOutput};
+use plasticine::arch::{FaultMap, FaultSpec, PlasticineParams, Topology};
+use plasticine::compiler::{compile, compile_degraded, CompileOptions, CompileOutput};
 use plasticine::dram::DramConfig;
 use plasticine::ppir::Machine;
 use plasticine::sim::{
@@ -295,16 +299,41 @@ fn tampered_payload_is_corrupt() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Property: for a random workload, step mode, and checkpoint cadence,
-    /// serialize→decode→resume reproduces the uninterrupted golden stats.
+    /// Property: for a random workload, step mode, checkpoint cadence, and
+    /// fault spec, serialize→decode→resume reproduces the uninterrupted
+    /// golden stats. A faulted bench is compiled against the sampled map
+    /// (possibly with reduced parallelization) and simulated under it.
     #[test]
     fn random_cadence_roundtrips(
         which in 0usize..13,
         step in prop::sample::select(vec![StepMode::Event, StepMode::Cycle]),
         frac in 1u64..10,
+        fault in prop::sample::select(vec![
+            None,
+            Some("lane=0.001,sram=0.001,seed=7"),
+            Some("pcu=3,links=2,chan=1,seed=11"),
+            Some("drop=0.005,seed=5"),
+        ]),
     ) {
         let (bench, out) = &compiled()[which];
-        let opts = SimOptions { step, ..SimOptions::default() };
+        let (bench, out, faults) = match fault {
+            None => (bench.clone(), out.clone(), FaultMap::default()),
+            Some(spec) => {
+                let params = PlasticineParams::paper_final();
+                let spec: FaultSpec = spec.parse().unwrap();
+                let faults = FaultMap::sample(
+                    &Topology::new(&params),
+                    &spec,
+                    DramConfig::default().channels,
+                );
+                let copts = CompileOptions { faults: faults.clone(), ..CompileOptions::new() };
+                let (out, program, _) = compile_degraded(&bench.program, &params, &copts)
+                    .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name)))?;
+                (Bench { program, ..bench.clone() }, out, faults)
+            }
+        };
+        let (bench, out) = (&bench, &out);
+        let opts = SimOptions { step, faults, ..SimOptions::default() };
         let (want, cycles) = baseline(bench, out, &opts);
         // Cadence anywhere from ~10% to ~90% of the run.
         let every = (cycles * frac / 10).max(1);

@@ -1,9 +1,9 @@
 //! The multi-tenant headline invariant, end to end: a tenant co-located
 //! with others on a partitioned chip produces stats byte-identical to
 //! running alone on a dedicated fabric of its partition's geometry, in
-//! both step modes and at any simulator thread count — and a preempted
-//! tenant (checkpoint, evict, resume) finishes with the same bytes as an
-//! uninterrupted one, even when resumed at a different band offset.
+//! both step modes — and a preempted tenant (checkpoint, evict, resume)
+//! finishes with the same bytes as an uninterrupted one, even when resumed
+//! at a different band offset.
 
 use plasticine::arch::{Partition, PlasticineParams};
 use plasticine::compiler::{compile_degraded, CompileOptions, CompileOutput};
@@ -15,10 +15,9 @@ fn params() -> PlasticineParams {
     PlasticineParams::paper_final()
 }
 
-fn opts(step: StepMode, threads: usize, channels: usize) -> SimOptions {
+fn opts(step: StepMode, channels: usize) -> SimOptions {
     let mut o = SimOptions {
         step,
-        threads,
         ..SimOptions::default()
     };
     // A partitioned tenant simulates against exactly its channel share.
@@ -38,11 +37,11 @@ fn compile_on(bench: &Bench, band: Partition) -> (CompileOutput, Program) {
 
 /// The reference: the bench alone on a dedicated fabric of the band's
 /// geometry.
-fn solo_stats(bench: &Bench, band: Partition, step: StepMode, threads: usize) -> String {
+fn solo_stats(bench: &Bench, band: Partition, step: StepMode) -> String {
     let (out, prog) = compile_on(bench, band);
     let mut m = Machine::new(&prog);
     bench.load(&mut m);
-    let o = opts(step, threads, band.channels);
+    let o = opts(step, band.channels);
     let r = simulate(&prog, &out, &mut m, &o).expect("solo run succeeds");
     bench.verify(&m).expect("solo run verifies");
     r.stats_json().pretty()
@@ -51,7 +50,7 @@ fn solo_stats(bench: &Bench, band: Partition, step: StepMode, threads: usize) ->
 /// Co-locates `group` on disjoint 2-row bands (1 channel each), runs to
 /// completion, and checks every tenant's stats against its solo
 /// reference, byte for byte.
-fn isolation(step: StepMode, threads: usize) {
+fn isolation(step: StepMode) {
     let p = params();
     let benches = all(Scale(1));
     for group in benches.chunks(4) {
@@ -62,7 +61,7 @@ fn isolation(step: StepMode, threads: usize) {
             let (out, prog) = compile_on(bench, band);
             let mut m = Machine::new(&prog);
             bench.load(&mut m);
-            let o = opts(step, threads, band.channels);
+            let o = opts(step, band.channels);
             ms.admit(&bench.name, &prog, &out, &mut m, &o, None)
                 .expect("tenant admits");
             // Two-phase simulation: the functional result exists already.
@@ -72,10 +71,10 @@ fn isolation(step: StepMode, threads: usize) {
         ms.run().expect("co-located group completes");
         for (i, t) in ms.tenants().iter().enumerate() {
             let multi = t.result().expect("tenant done").stats_json().pretty();
-            let solo = solo_stats(&group[i], bands[i], step, threads);
+            let solo = solo_stats(&group[i], bands[i], step);
             assert_eq!(
                 multi, solo,
-                "{} co-located on {} must match its solo run ({step:?}, {threads} threads)",
+                "{} co-located on {} must match its solo run ({step:?})",
                 group[i].name, bands[i]
             );
         }
@@ -84,22 +83,12 @@ fn isolation(step: StepMode, threads: usize) {
 
 #[test]
 fn colocated_stats_match_solo_event_mode_1_thread() {
-    isolation(StepMode::Event, 1);
-}
-
-#[test]
-fn colocated_stats_match_solo_event_mode_4_threads() {
-    isolation(StepMode::Event, 4);
+    isolation(StepMode::Event);
 }
 
 #[test]
 fn colocated_stats_match_solo_cycle_mode_1_thread() {
-    isolation(StepMode::Cycle, 1);
-}
-
-#[test]
-fn colocated_stats_match_solo_cycle_mode_4_threads() {
-    isolation(StepMode::Cycle, 4);
+    isolation(StepMode::Cycle);
 }
 
 /// Runs GEMM+BFS co-located; optionally preempts BFS after one round and
@@ -123,7 +112,7 @@ fn gemm_bfs(preempt: Option<Partition>) -> (String, String) {
             &prog,
             &out,
             &mut m,
-            &opts(StepMode::Event, 1, band.channels),
+            &opts(StepMode::Event, band.channels),
             None,
         )
         .expect("tenant admits");
@@ -145,7 +134,7 @@ fn gemm_bfs(preempt: Option<Partition>) -> (String, String) {
                 &prog,
                 &out,
                 &mut m,
-                &opts(StepMode::Event, 1, resume_band.channels),
+                &opts(StepMode::Event, resume_band.channels),
                 Some(&ckpt),
             )
             .expect("evicted tenant resumes");

@@ -1,23 +1,12 @@
-//! Differential harness for the multi-threaded event kernel.
+//! Randomized differential for the kernel's two step modes under fault
+//! injection and checkpointing.
 //!
-//! `SimOptions::threads` must be *invisible* in every result byte: the
-//! parallel fast-forward engine shards DRAM channels (and their coalescing
-//! units) across a worker pool, and its canonical merge order makes the
-//! outcome bit-for-bit identical to the serial kernel at any thread count.
-//! This suite pins that guarantee along every axis the kernel supports:
-//!
-//! - all 13 Table 4 workloads × both step modes × threads ∈ {1, 2, 4, 8}
-//!   produce byte-identical `stats_json` snapshots;
-//! - fault injection (hard faults, an offline DRAM channel exercising the
-//!   remap-aware shard plan, lane/SRAM flips, and response drops) preserves
-//!   identity, with and without the parallel engine engaged;
-//! - degenerate DRAM shapes (a single channel — one shard, engine disabled;
-//!   two channels — fewer shards than workers) stay identical;
-//! - a pinned-seed proptest over random (workload, fault-spec, thread
-//!   count, checkpoint cadence) tuples asserts serial/parallel identity and
-//!   resume/straight-through identity, *crossing* thread counts between the
-//!   checkpointing and resuming runs — snapshots are thread-count
-//!   independent by construction.
+//! Event and cycle stepping must be *invisible* in every result byte, and a
+//! checkpoint must carry no trace of the step mode that wrote it. A
+//! pinned-seed proptest over random (workload, fault spec, checkpoint
+//! cadence) tuples asserts both, *crossing* step modes between the
+//! checkpointing and the resuming run. Same-mode round trips live in
+//! `checkpoint_resume.rs`; fixed-spec step-mode agreement in `step_mode.rs`.
 
 use plasticine::arch::{FaultMap, FaultSpec, PlasticineParams, Topology};
 use plasticine::compiler::{compile, compile_degraded, CompileOptions, CompileOutput};
@@ -45,138 +34,22 @@ fn compiled() -> &'static Vec<(Bench, CompileOutput)> {
     })
 }
 
-/// One full run: load, simulate, verify functional outputs, snapshot stats.
-fn snapshot(bench: &Bench, prog: &Program, out: &CompileOutput, opts: &SimOptions) -> String {
+fn fresh_machine<'p>(bench: &Bench, prog: &'p Program) -> Machine<'p> {
     let mut m = Machine::new(prog);
     bench.load(&mut m);
-    let r = simulate(prog, out, &mut m, opts).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-    r.stats_json().pretty()
-}
-
-/// Every workload, both step modes: threads 2/4/8 reproduce the
-/// single-thread snapshot byte for byte.
-#[test]
-fn all_workloads_byte_identical_at_every_thread_count() {
-    for (bench, out) in compiled() {
-        for step in [StepMode::Event, StepMode::Cycle] {
-            let opts = |threads| SimOptions {
-                step,
-                threads,
-                ..SimOptions::default()
-            };
-            let serial = snapshot(bench, &bench.program, out, &opts(1));
-            for threads in [2usize, 4, 8] {
-                assert_eq!(
-                    snapshot(bench, &bench.program, out, &opts(threads)),
-                    serial,
-                    "{} ({step:?}): threads={threads} diverged from serial",
-                    bench.name
-                );
-            }
-        }
-    }
-}
-
-/// Runs a fault-injected sweep at a given spec: compile against the
-/// degraded fabric, then compare serial vs parallel snapshots.
-fn check_fault_spec(spec_text: &str) {
-    let params = PlasticineParams::paper_final();
-    let spec: FaultSpec = spec_text.parse().unwrap();
-    let faults = FaultMap::sample(
-        &Topology::new(&params),
-        &spec,
-        DramConfig::default().channels,
-    );
-    let copts = CompileOptions {
-        faults: faults.clone(),
-        ..CompileOptions::new()
-    };
-    for (bench, _) in compiled().iter().take(5) {
-        let (out, prog, _) = compile_degraded(&bench.program, &params, &copts)
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        let run = |threads: usize| {
-            let mut m = Machine::new(&prog);
-            bench.load(&mut m);
-            let sopts = SimOptions {
-                faults: faults.clone(),
-                threads,
-                ..SimOptions::default()
-            };
-            let r = simulate(&prog, &out, &mut m, &sopts)
-                .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-            r.stats_json().pretty()
-        };
-        let serial = run(1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                run(threads),
-                serial,
-                "{} (spec {spec_text:?}): threads={threads} diverged",
-                bench.name
-            );
-        }
-    }
-}
-
-/// Fault injection with the parallel engine *engaged*: hard faults, one
-/// offline DRAM channel (traffic spills across shards via the remap, which
-/// the shard plan must absorb), and lane/SRAM transient flips — but no
-/// response drops, so fast-forward spans stay eligible.
-#[test]
-fn fault_injection_with_engine_engaged_is_identical() {
-    check_fault_spec("pcu=4,pmu=4,links=3,chan=1,lane=0.001,sram=0.001,seed=42");
-}
-
-/// The full pinned spec from the step-mode suite, drops included: response
-/// drops gate the parallel engine off span-by-span, and the gate itself
-/// must be deterministic and invisible in the stats.
-#[test]
-fn fault_injection_with_drops_is_identical() {
-    check_fault_spec("pcu=6,pmu=6,links=5,lane=0.001,sram=0.001,drop=0.01,seed=42");
-}
-
-/// Degenerate DRAM shapes: one channel means one shard (the engine must
-/// decline and stay serial), two channels mean fewer shards than the
-/// 8-thread pool would like. Both must be invisible in the stats.
-#[test]
-fn degenerate_channel_counts_are_identical() {
-    for channels in [1usize, 2] {
-        let dram = DramConfig {
-            channels,
-            ..DramConfig::default()
-        };
-        for (bench, out) in compiled().iter().take(4) {
-            let opts = |threads| SimOptions {
-                dram: dram.clone(),
-                threads,
-                ..SimOptions::default()
-            };
-            let serial = snapshot(bench, &bench.program, out, &opts(1));
-            for threads in [4usize, 8] {
-                assert_eq!(
-                    snapshot(bench, &bench.program, out, &opts(threads)),
-                    serial,
-                    "{} ({channels} channels): threads={threads} diverged",
-                    bench.name
-                );
-            }
-        }
-    }
+    m
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Property: for a random (workload, fault spec, thread count,
-    /// checkpoint cadence) tuple, (a) the parallel straight-through run
-    /// matches serial, and (b) checkpointing under one thread count and
-    /// resuming under another reproduces the same bytes — checkpoints carry
-    /// no trace of the thread count that wrote them.
+    /// Property: for a random (workload, fault spec, checkpoint cadence)
+    /// tuple, (a) cycle mode matches event mode straight through, and (b)
+    /// checkpointing under one step mode and resuming under the other
+    /// reproduces the same bytes, in both directions.
     #[test]
     fn random_tuples_hold_identity(
         which in 0usize..13,
-        step in prop::sample::select(vec![StepMode::Event, StepMode::Cycle]),
-        threads in prop::sample::select(vec![2usize, 3, 4, 8]),
         frac in 1u64..10,
         fault in prop::sample::select(vec![
             None,
@@ -188,8 +61,8 @@ proptest! {
         let params = PlasticineParams::paper_final();
         let (bench, cached_out) = &compiled()[which];
         // Resolve the program/bitstream/fault-map triple for this tuple.
-        let (prog, out, faults);
-        match fault {
+        let (prog, out, faults) = match fault {
+            None => (bench.program.clone(), cached_out.clone(), FaultMap::default()),
             Some(spec_text) => {
                 let spec: FaultSpec = spec_text.parse().unwrap();
                 let map = FaultMap::sample(
@@ -200,71 +73,57 @@ proptest! {
                 let copts = CompileOptions { faults: map.clone(), ..CompileOptions::new() };
                 let (o, p, _) = compile_degraded(&bench.program, &params, &copts)
                     .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name)))?;
-                prog = p;
-                out = o;
-                faults = map;
+                (p, o, map)
             }
-            None => {
-                prog = bench.program.clone();
-                out = cached_out.clone();
-                faults = FaultMap::default();
-            }
-        }
-        let opts = |threads: usize| SimOptions {
+        };
+        let opts = |step: StepMode| SimOptions {
             step,
-            threads,
             faults: faults.clone(),
             ..SimOptions::default()
         };
 
-        // (a) Serial vs parallel, straight through.
-        let serial = {
-            let mut m = Machine::new(&prog);
-            bench.load(&mut m);
-            let r = simulate(&prog, &out, &mut m, &opts(1))
+        // (a) Event vs cycle, straight through.
+        let event = {
+            let mut m = fresh_machine(bench, &prog);
+            let r = simulate(&prog, &out, &mut m, &opts(StepMode::Event))
                 .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name)))?;
             (r.stats_json().pretty(), r.cycles)
         };
-        let parallel = {
-            let mut m = Machine::new(&prog);
-            bench.load(&mut m);
-            let r = simulate(&prog, &out, &mut m, &opts(threads))
+        let cycle = {
+            let mut m = fresh_machine(bench, &prog);
+            let r = simulate(&prog, &out, &mut m, &opts(StepMode::Cycle))
                 .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name)))?;
             r.stats_json().pretty()
         };
-        prop_assert_eq!(&parallel, &serial.0, "straight-through parallel diverged");
+        prop_assert_eq!(&cycle, &event.0, "straight-through cycle mode diverged");
 
-        // (b) Checkpoint under `threads`, resume under serial — and the
-        // other way around. Both must land on the same bytes.
-        let every = (serial.1 * frac / 10).max(1);
+        // (b) Checkpoint under one step mode, resume under the other.
+        let every = (event.1 * frac / 10).max(1);
         let policy = CheckpointPolicy { every: Some(every), on_error: false };
-        for (write_threads, read_threads) in [(threads, 1), (1, threads)] {
+        for (write, read) in [(StepMode::Event, StepMode::Cycle), (StepMode::Cycle, StepMode::Event)] {
             let mut taken: Vec<Checkpoint> = Vec::new();
-            let mut m = Machine::new(&prog);
-            bench.load(&mut m);
+            let mut m = fresh_machine(bench, &prog);
             let r = simulate_checkpointed(
-                &prog, &out, &mut m, &opts(write_threads), policy, None,
+                &prog, &out, &mut m, &opts(write), policy, None,
                 &mut |c| taken.push(c.clone()),
             )
             .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name)))?;
             prop_assert_eq!(
-                r.stats_json().pretty(), serial.0.clone(),
-                "checkpointing run (threads={}) diverged", write_threads
+                r.stats_json().pretty(), event.0.clone(),
+                "checkpointing run ({:?}) diverged", write
             );
             if let Some(mid) = taken.last() {
                 let decoded = Checkpoint::decode(&mid.encode())
                     .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                let mut m = Machine::new(&prog);
-                bench.load(&mut m);
+                let mut m = fresh_machine(bench, &prog);
                 let r = simulate_checkpointed(
-                    &prog, &out, &mut m, &opts(read_threads),
+                    &prog, &out, &mut m, &opts(read),
                     CheckpointPolicy::default(), Some(&decoded), &mut |_| {},
                 )
                 .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name)))?;
                 prop_assert_eq!(
-                    r.stats_json().pretty(), serial.0.clone(),
-                    "resume (write threads={}, read threads={}) diverged",
-                    write_threads, read_threads
+                    r.stats_json().pretty(), event.0.clone(),
+                    "resume (written {:?}, read {:?}) diverged", write, read
                 );
             }
         }
