@@ -65,6 +65,11 @@ impl Partition {
         }
     }
 
+    /// Whether the two bands share a fabric row.
+    pub fn overlaps(&self, other: &Partition) -> bool {
+        self.y0 < other.y0 + other.rows && other.y0 < self.y0 + self.rows
+    }
+
     /// Whether this partition covers the entire chip.
     pub fn is_full(&self, params: &PlasticineParams) -> bool {
         *self == Partition::full(params)

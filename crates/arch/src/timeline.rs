@@ -543,23 +543,26 @@ impl HealthMap {
         })
     }
 
-    /// The lowest healthy band pattern-equivalent to `like` on an otherwise
-    /// empty chip: the same height and channel share at a `y0` congruent to
-    /// `like.y0` modulo the grid mix's vertical period, so `like`'s
-    /// bitstream relocates onto it unmodified. It may be `like` itself.
-    /// `None` when the accumulated faults cover every such offset.
+    /// The lowest healthy band pattern-equivalent to `like` on a chip
+    /// where only `avoid` (a co-resident tenant's band, if any) is taken:
+    /// the same height and channel share at a `y0` congruent to `like.y0`
+    /// modulo the grid mix's vertical period, so `like`'s bitstream
+    /// relocates onto it unmodified, sharing no row with `avoid`. It may
+    /// be `like` itself. `None` when faults or `avoid` cover every such
+    /// offset.
     pub fn lowest_healthy_band(
         &self,
         topo: &Topology,
         like: &Partition,
         mix: GridMix,
+        avoid: Option<&Partition>,
     ) -> Option<Partition> {
         let period = mix.vertical_period().max(1);
         (like.y0 % period..)
             .step_by(period)
             .take_while(|y0| y0 + like.rows <= topo.rows())
             .map(|y0| Partition::new(y0, like.rows, like.channels))
-            .find(|p| self.band_is_healthy(topo, p))
+            .find(|p| !avoid.is_some_and(|a| a.overlaps(p)) && self.band_is_healthy(topo, p))
     }
 
     /// The accumulated faults merged over a base map (set unions; the
@@ -801,7 +804,7 @@ mod tests {
         // Pristine: the lowest offset of the same parity, whatever `like` is.
         let like = Partition::new(5, 2, 1);
         assert_eq!(
-            h.lowest_healthy_band(&t, &like, mix),
+            h.lowest_healthy_band(&t, &like, mix, None),
             Some(Partition::new(1, 2, 1))
         );
         // Kill a unit in rows 1..3: the next same-parity offset is 3.
@@ -815,11 +818,28 @@ mod tests {
             kind: SiteKind::Pcu,
         });
         assert_eq!(
-            h.lowest_healthy_band(&t, &like, mix),
+            h.lowest_healthy_band(&t, &like, mix, None),
             Some(Partition::new(3, 2, 1))
         );
         // A band as tall as the chip has one offset; damage rules it out.
         let whole = Partition::new(0, t.rows(), 1);
-        assert_eq!(h.lowest_healthy_band(&t, &whole, mix), None);
+        assert_eq!(h.lowest_healthy_band(&t, &whole, mix, None), None);
+        // A co-resident band over rows 3..5 rules out offset 3; the next
+        // healthy same-parity offset is 5.
+        assert_eq!(t.rows(), 8);
+        let other = Partition::new(3, 2, 1);
+        assert_eq!(
+            h.lowest_healthy_band(&t, &like, mix, Some(&other)),
+            Some(Partition::new(5, 2, 1))
+        );
+        // One over rows 4..6 overlaps both offsets the damage left.
+        let other = Partition::new(4, 2, 1);
+        assert_eq!(h.lowest_healthy_band(&t, &like, mix, Some(&other)), None);
+        // One that shares no row with the band (rows 0..1) takes nothing.
+        let apart = Partition::new(0, 1, 1);
+        assert_eq!(
+            h.lowest_healthy_band(&t, &like, mix, Some(&apart)),
+            Some(Partition::new(3, 2, 1))
+        );
     }
 }

@@ -279,12 +279,12 @@ impl Channel {
         if self.queue.is_empty() {
             return false;
         }
-        // Starvation guard: if the oldest request is overage, schedule only it.
-        let limit = if now > self.guard_horizon() {
-            1
-        } else {
-            self.queue.len()
-        };
+        // Starvation guard: if the oldest request is overage, schedule only
+        // it — and let it close a row that younger requests still want,
+        // since the guard bars their row hits (otherwise nothing could
+        // issue until a refresh closed the row).
+        let guarded = now > self.guard_horizon();
+        let limit = if guarded { 1 } else { self.queue.len() };
 
         // Pass 1 (FR): oldest request whose column command can issue now.
         for qi in 0..limit {
@@ -300,7 +300,7 @@ impl Channel {
         }
         // Pass 3: oldest request conflicting with an open row — precharge.
         for qi in 0..limit {
-            if self.try_precharge(qi, now) {
+            if self.try_precharge(qi, now, guarded) {
                 return true;
             }
         }
@@ -465,16 +465,19 @@ impl Channel {
                 }
                 // Row conflict: a precharge is possible once tRAS/tWR/tRTP
                 // expire — unless another queued request still wants the
-                // open row, in which case this request waits for column
-                // issues (events in their own right) to drain it first.
+                // open row. Then a younger request waits for column issues
+                // (events in their own right) to drain it first, and the
+                // oldest waits for them until the guard binds, after which
+                // it closes the row itself.
                 Some(open) => {
                     let wanted = self.queue.iter().any(|q| {
                         q.loc.rank == loc.rank && q.loc.bank == loc.bank && q.loc.row == open
                     });
-                    if wanted {
-                        continue;
+                    match (wanted, i) {
+                        (false, _) => bank.pre_ok.max(refr),
+                        (true, 0) => bank.pre_ok.max(refr).max(horizon.saturating_add(1)),
+                        (true, _) => continue,
                     }
-                    bank.pre_ok.max(refr)
                 }
             };
             let t = t.max(now);
@@ -669,7 +672,10 @@ impl Channel {
         Ok(())
     }
 
-    fn try_precharge(&mut self, qi: usize, now: u64) -> bool {
+    /// Precharges the open row request `qi` conflicts with. Unless `force`
+    /// (the starvation guard holds and `qi` is the oldest request), a row
+    /// that another queued request still wants stays open.
+    fn try_precharge(&mut self, qi: usize, now: u64, force: bool) -> bool {
         let loc = self.queue[qi].loc;
         let bank = &self.banks[loc.rank][loc.bank];
         let Some(open) = bank.active_row else {
@@ -683,11 +689,12 @@ impl Channel {
         }
         // Only precharge if no *queued* request wants the open row (avoid
         // closing rows that still have hits pending).
-        let wanted = self
-            .queue
-            .iter()
-            .any(|p| p.loc.rank == loc.rank && p.loc.bank == loc.bank && p.loc.row == open);
-        if wanted {
+        let wanted = || {
+            self.queue
+                .iter()
+                .any(|p| p.loc.rank == loc.rank && p.loc.bank == loc.bank && p.loc.row == open)
+        };
+        if !force && wanted() {
             return false;
         }
         let bank = &mut self.banks[loc.rank][loc.bank];
@@ -890,6 +897,50 @@ mod tests {
         }
         let at = victim_done_at.expect("victim must eventually complete");
         assert!(at < 1_500, "victim waited too long: {at}");
+    }
+
+    #[test]
+    fn guarded_row_conflict_closes_a_wanted_row() {
+        // One bank, refresh off, a starvation guard shorter than tRCD. The
+        // first request opens row R; once it leaves, the oldest request
+        // conflicts with R while a younger one still wants R. The guard
+        // bars the younger row hit, so the oldest must be let to close R,
+        // or neither ever issues.
+        let cfg = DramConfig {
+            refresh: false,
+            max_age: 8,
+            ..DramConfig::default()
+        };
+        let mut ch = Channel::new(&cfg);
+        let lines_per_row = cfg.row_bytes / cfg.line_bytes;
+        let row_r = 0u64;
+        let row_s = lines_per_row * 4 * 64 * (cfg.banks as u64 * cfg.ranks as u64);
+        let row_r_again = 4 * 64;
+        let (lr, ls, lr2) = (cfg.map(row_r), cfg.map(row_s), cfg.map(row_r_again));
+        assert_eq!((lr.rank, lr.bank), (ls.rank, ls.bank));
+        assert_eq!((lr.rank, lr.bank, lr.row), (lr2.rank, lr2.bank, lr2.row));
+        assert_ne!(lr.row, ls.row);
+        for (id, addr) in [(0, row_r), (1, row_s), (2, row_r_again)] {
+            assert!(ch.push(
+                MemRequest {
+                    id,
+                    addr,
+                    is_write: false
+                },
+                cfg.map(addr),
+                0
+            ));
+        }
+        let mut done = Vec::new();
+        for t in 0..10_000 {
+            if ch.pending() > 0 {
+                assert_ne!(ch.next_event(t), u64::MAX, "requests queued but no event");
+            }
+            ch.tick(t, &mut done);
+        }
+        let mut ids: Vec<u64> = done.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 2], "the channel wedged");
     }
 
     #[test]

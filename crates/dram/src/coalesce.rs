@@ -12,6 +12,34 @@ use crate::system::{DramSystem, QueueFull};
 use plasticine_json::decode::{arr_of, bool_of, field, hex_of, u64_of, R};
 use plasticine_json::Json;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes coalescing-cache keys (a line number and a direction) with a
+/// rotate, a xor and a multiply per word. The keys are simulated
+/// addresses, not untrusted input, so SipHash's flooding resistance buys
+/// nothing and costs more than the probe it guards.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A 4-byte element request from an address generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +92,14 @@ pub struct CoalescingUnit {
     line_bytes: u64,
     capacity: usize,
     namespace: u64,
-    cache: HashMap<(u64, bool), Entry>,
+    cache: HashMap<(u64, bool), Entry, BuildHasherDefault<LineHasher>>,
     issue_queue: VecDeque<(u64, bool)>,
-    by_req_id: HashMap<u64, (u64, bool)>,
+    /// Line of each issued request, by request id: slot `i` is id
+    /// `namespace + req_base + i`, `None` once it completed. Line requests
+    /// take consecutive ids, so the window spans only what is in flight.
+    by_req: VecDeque<Option<(u64, bool)>>,
+    /// Id offset (from `namespace`) of the window's first slot.
+    req_base: u64,
     next_line_req: u64,
     /// Statistics.
     pub stats: CoalesceStats,
@@ -88,9 +121,10 @@ impl CoalescingUnit {
             line_bytes,
             capacity,
             namespace,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             issue_queue: VecDeque::new(),
-            by_req_id: HashMap::new(),
+            by_req: VecDeque::new(),
+            req_base: 0,
             next_line_req: 0,
             stats: CoalesceStats::default(),
         }
@@ -159,14 +193,14 @@ impl CoalescingUnit {
             let (line, is_write) = key;
             let req_id = self.namespace + self.next_line_req;
             let push = mem.push(MemRequest {
-                id: req_id, // namespaced; mapped back via by_req_id
+                id: req_id, // namespaced; mapped back via by_req
                 addr: line * self.line_bytes,
                 is_write,
             });
             match push {
                 Ok(()) => {
                     self.next_line_req += 1;
-                    self.by_req_id.insert(req_id, key);
+                    self.by_req.push_back(Some(key));
                     self.cache.get_mut(&key).expect("entry exists").issued = true;
                     self.issue_queue.pop_front();
                     self.stats.line_requests += 1;
@@ -176,9 +210,9 @@ impl CoalescingUnit {
         }
     }
 
-    /// Serializes the mutable coalescing state. The `cache` and
-    /// `by_req_id` maps are emitted sorted by key so the snapshot bytes
-    /// are canonical (their `HashMap` iteration order is per-process);
+    /// Serializes the mutable coalescing state. The `cache` map is emitted
+    /// sorted by key so the snapshot bytes are canonical (its `HashMap`
+    /// iteration order is per-process), and in-flight requests in id order;
     /// `issue_queue` order is preserved verbatim because issue order is
     /// behaviorally significant. Capacity, line size, and the id
     /// namespace come from the constructor and are not included.
@@ -192,8 +226,12 @@ impl CoalescingUnit {
         };
         let mut cache: Vec<_> = self.cache.iter().collect();
         cache.sort_by_key(|(k, _)| **k);
-        let mut by_req: Vec<_> = self.by_req_id.iter().collect();
-        by_req.sort_by_key(|(k, _)| **k);
+        let first = self.namespace + self.req_base;
+        let by_req = self
+            .by_req
+            .iter()
+            .enumerate()
+            .filter_map(|(i, k)| k.map(|k| (first + i as u64, k)));
         Json::obj([
             (
                 "cache",
@@ -226,8 +264,7 @@ impl CoalescingUnit {
                 "by_req_id",
                 Json::Arr(
                     by_req
-                        .into_iter()
-                        .map(|(&req, &(line, w))| {
+                        .map(|(req, (line, w))| {
                             Json::obj([
                                 ("req", Json::hex(req)),
                                 ("line", Json::hex(line)),
@@ -279,12 +316,30 @@ impl CoalescingUnit {
             self.issue_queue
                 .push_back((hex_of(qj, "line")?, bool_of(qj, "w")?));
         }
-        self.by_req_id.clear();
-        for rj in arr_of(j, "by_req_id")? {
-            self.by_req_id
-                .insert(hex_of(rj, "req")?, (hex_of(rj, "line")?, bool_of(rj, "w")?));
-        }
         self.next_line_req = u64_of(j, "next_line_req")?;
+        let mut in_flight = Vec::new();
+        for rj in arr_of(j, "by_req_id")? {
+            let rel = hex_of(rj, "req")?
+                .checked_sub(self.namespace)
+                .filter(|&r| r < self.next_line_req)
+                .ok_or_else(|| "coalesced request id outside this unit's window".to_string())?;
+            in_flight.push((rel, (hex_of(rj, "line")?, bool_of(rj, "w")?)));
+        }
+        in_flight.sort_unstable_by_key(|&(rel, _)| rel);
+        self.req_base = in_flight
+            .first()
+            .map_or(self.next_line_req, |&(rel, _)| rel);
+        // The window is allocated densely; bound what a corrupt snapshot
+        // can ask for.
+        if self.next_line_req - self.req_base > 1 << 22 {
+            return Err("coalesced requests in flight span too wide an id window".to_string());
+        }
+        self.by_req.clear();
+        self.by_req
+            .resize((self.next_line_req - self.req_base) as usize, None);
+        for (rel, key) in in_flight {
+            self.by_req[(rel - self.req_base) as usize] = Some(key);
+        }
         let s = field(j, "stats")?;
         self.stats = CoalesceStats {
             elem_requests: u64_of(s, "elem_requests")?,
@@ -299,11 +354,7 @@ impl CoalescingUnit {
     pub fn absorb(&mut self, completions: &[Completion]) -> Vec<ElemCompletion> {
         let mut out = Vec::new();
         for c in completions {
-            let Some(key) = self.by_req_id.remove(&c.id) else {
-                continue;
-            };
-            let entry = self.cache.remove(&key).expect("cache entry for line");
-            for e in entry.elems {
+            for e in self.absorb_one(c.id).unwrap_or_default() {
                 out.push(ElemCompletion {
                     id: e.id,
                     byte_addr: e.byte_addr,
@@ -313,6 +364,21 @@ impl CoalescingUnit {
             }
         }
         out
+    }
+
+    /// Completes one line request by id, returning the element requests
+    /// merged onto it, or `None` when this unit does not own the id (or it
+    /// already completed). The id indexes the in-flight window directly,
+    /// so a completion owned by another unit costs one subtraction.
+    pub fn absorb_one(&mut self, id: u64) -> Option<Vec<ElemRequest>> {
+        let rel = id.wrapping_sub(self.namespace).wrapping_sub(self.req_base);
+        let key = self.by_req.get_mut(usize::try_from(rel).ok()?)?.take()?;
+        while let Some(None) = self.by_req.front() {
+            self.by_req.pop_front();
+            self.req_base += 1;
+        }
+        let entry = self.cache.remove(&key).expect("cache entry for line");
+        Some(entry.elems)
     }
 }
 

@@ -600,21 +600,91 @@ mod tests {
                     .min()
                     .unwrap_or(u64::MAX);
                 prop_assert_eq!(ev, scanned, "at cycle {}", now);
-                if ev == u64::MAX && arrivals.peek().is_none_or(|&(at, _)| at <= now) {
-                    // Requests are left, but nothing can ever change and no
-                    // further push will land. With refresh off a channel
-                    // stalls for good once the starvation guard holds a row
-                    // conflict whose open row a younger queued request still
-                    // wants: the conflict may not precharge, and the guard
-                    // bars the row hit.
-                    break;
-                }
+                // While requests are queued something must still happen:
+                // the guarded oldest request may close a row that younger
+                // requests want, so no channel can stall for good.
+                prop_assert!(
+                    ev != u64::MAX || mem.idle(),
+                    "requests queued but no event at cycle {}", now
+                );
                 let before = mem.stats();
                 let done = mem.tick();
                 let changed = !done.is_empty() || mem.stats() != before;
                 prop_assert_eq!(changed, ev == now, "at cycle {}", now);
                 completed += done.len();
                 prop_assert!(now < 1_000_000, "deadlock");
+            }
+        }
+    }
+
+    /// The longest a request can take to complete once the starvation
+    /// guard serves it alone: every timing window a single request can
+    /// wait on (precharge, activate and column constraints, the shared
+    /// data bus, a write-to-read turnaround), its own transfer, and one
+    /// refresh that closes its row and forces a second activate.
+    fn solo_service_bound(cfg: &DramConfig) -> u64 {
+        let c = crate::channel::Cycles::from_config(cfg);
+        c.ras
+            + c.wr
+            + c.rtp
+            + c.rp
+            + 2 * (c.rc + c.faw + c.rrd + c.rcd)
+            + c.wtr
+            + 2 * (c.cas.max(c.cwd) + c.burst)
+            + c.rfc
+            + 8
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_request_completes_within_the_guard_bound(
+            reqs in prop::collection::vec((0u64..(1 << 16), any::<bool>(), 0u64..40), 1..160),
+            core_ghz in prop::sample::select(vec![1.0f64, 96.0]),
+            max_age in prop::sample::select(vec![0u64, 8, 64, 2048]),
+            refresh in any::<bool>(),
+            queue_depth in 1usize..33,
+            offline in prop::sample::select(vec![vec![], vec![1usize], vec![0, 2, 3]]),
+        ) {
+            // Liveness: a request enters a channel queue at most
+            // `queue_depth - 1` behind older ones. Each oldest request waits
+            // at most `max_age` past its arrival before the guard serves it
+            // alone, and is then served within `solo_service_bound`. So a
+            // request completes at most `max_age + queue_depth × W` cycles
+            // after it was queued.
+            let cfg = DramConfig { core_ghz, max_age, refresh, queue_depth, ..DramConfig::default() };
+            let bound = max_age + queue_depth as u64 * solo_service_bound(&cfg);
+            let mut mem = DramSystem::new(cfg);
+            prop_assert!(mem.set_offline(&offline));
+            let mut due = 0u64;
+            let mut arrivals = reqs
+                .iter()
+                .enumerate()
+                .map(|(i, &(line, is_write, gap))| {
+                    due += gap;
+                    (due, MemRequest { id: i as u64, addr: line * 64, is_write })
+                })
+                .peekable();
+            let mut queued_at = vec![u64::MAX; reqs.len()];
+            let mut completed = 0;
+            while completed < reqs.len() {
+                while let Some(&(at, req)) = arrivals.peek() {
+                    if at > mem.now() || mem.push(req).is_err() {
+                        break;
+                    }
+                    queued_at[req.id as usize] = mem.now();
+                    arrivals.next();
+                }
+                for c in mem.tick() {
+                    let waited = c.at - queued_at[c.id as usize];
+                    prop_assert!(
+                        waited <= bound,
+                        "request {} took {} cycles, bound {}", c.id, waited, bound
+                    );
+                    completed += 1;
+                }
+                prop_assert!(mem.now() < 50_000_000, "no progress");
             }
         }
     }

@@ -45,8 +45,11 @@ use std::path::Path;
 /// Current checkpoint format version. Version 2 added the healing overlay
 /// (`heal` per unit, `healing_cycles`) and the ECC escalation window
 /// (`ecc`) to the resources snapshot, and folded the fault timeline into
-/// the options guard.
-pub const VERSION: u32 = 2;
+/// the options guard. Version 3 dropped two fields that are not state:
+/// the per-cycle `begin_cols` flag, which the next `begin_cycle`
+/// overwrites before anything reads it, and the per-job element sequence
+/// numbers (`next_elem_seq`), which a transfer's own request count gives.
+pub const VERSION: u32 = 3;
 
 /// Why a checkpoint could not be decoded or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -174,14 +174,11 @@ impl SimKernel {
 
         let mut model = SimModel::build(p, out);
         if let Some(cap) = opts.credit_cap {
-            for om in model.outer.values_mut() {
-                for d in &mut om.deps {
-                    d.2 = d.2.min(cap);
-                }
-            }
+            model.cap_credits(cap);
         }
         let mut res = Resources::new(&model, &out.config.params, opts.dram.clone());
         res.set_coalescing(opts.coalescing);
+        res.set_event_mode(opts.step == StepMode::Event);
         res.set_transients(&opts.faults.transient);
         if !opts.faults.offline_channels.is_empty() {
             let offline: Vec<usize> = opts.faults.offline_channels.iter().copied().collect();

@@ -50,7 +50,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy};
 pub use deadlock::{BlockedUnit, DeadlockReport, HeldResource, WaitCause};
 pub use exit::ExitStatus;
 pub use kernel::{Advance, CheckpointSink, DegradedReport, SimKernel};
-pub use model::{ComputeModel, OuterModel, SimModel, TransferModel};
+pub use model::{ComputeModel, CtrlTable, OuterModel, SimModel, TransferModel};
 pub use multi::{MultiSim, Tenant, TenantId};
 pub use resources::{Activity, FaultStats, Resources, SimError};
 pub use sched::Node;

@@ -7,6 +7,83 @@ use plasticine_arch::{AgMode, MachineConfig, UnitCfg, UnitId};
 use plasticine_compiler::CompileOutput;
 use plasticine_ppir::{BankingMode, CtrlBody, CtrlId, Expr, InnerOp, Program, Schedule, SramId};
 use std::collections::HashMap;
+use std::ops::Index;
+
+/// A table keyed by controller id. Ids are allocated densely (one per
+/// controller, in program order), so a `Vec` indexed by the raw id
+/// replaces a hash map: a lookup is one bounds-checked load.
+#[derive(Debug, Clone)]
+pub struct CtrlTable<T>(Vec<Option<T>>);
+
+impl<T> CtrlTable<T> {
+    /// An empty table for `n` controller ids.
+    pub fn new(n: usize) -> CtrlTable<T> {
+        CtrlTable((0..n).map(|_| None).collect())
+    }
+
+    /// The entry for `ctrl`, if it has one.
+    #[inline]
+    pub fn get(&self, ctrl: CtrlId) -> Option<&T> {
+        self.0.get(ctrl.0 as usize).and_then(Option::as_ref)
+    }
+
+    /// Mutable access to the entry for `ctrl`, if it has one.
+    #[inline]
+    pub fn get_mut(&mut self, ctrl: CtrlId) -> Option<&mut T> {
+        self.0.get_mut(ctrl.0 as usize).and_then(Option::as_mut)
+    }
+
+    /// Sets the entry for `ctrl`, growing the table if needed.
+    pub fn insert(&mut self, ctrl: CtrlId, v: T) {
+        let i = ctrl.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize_with(i + 1, || None);
+        }
+        self.0[i] = Some(v);
+    }
+
+    /// Entries with their ids, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (CtrlId, &T)> {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.as_ref().map(|v| (CtrlId(i as u32), v)))
+    }
+
+    /// Entries in id order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().flatten()
+    }
+
+    /// Mutable entries in id order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.0.iter_mut().flatten()
+    }
+
+    /// Removes every entry, keeping the table's id range.
+    pub fn clear(&mut self) {
+        self.0.iter_mut().for_each(|v| *v = None);
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.values().count()
+    }
+
+    /// Whether the table has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.values().next().is_none()
+    }
+}
+
+impl<T> Index<CtrlId> for CtrlTable<T> {
+    type Output = T;
+
+    fn index(&self, ctrl: CtrlId) -> &T {
+        self.get(ctrl)
+            .unwrap_or_else(|| panic!("no table entry for controller {}", ctrl.0))
+    }
+}
 
 /// Timing model of one compute leaf controller.
 #[derive(Debug, Clone)]
@@ -43,6 +120,9 @@ pub struct ComputeModel {
     pub red_ops_per_vec: u64,
     /// Physical PCUs occupied (all copies).
     pub phys_pcus: usize,
+    /// PCU-cycles one issuing cycle of an invocation charges: the physical
+    /// PCUs per invocation slot (at least one).
+    pub busy_pcus: u64,
 }
 
 /// Timing model of one transfer leaf controller.
@@ -74,28 +154,85 @@ pub struct OuterModel {
     /// Concurrent iterations each child may process within one invocation
     /// of this controller (the controller's own unroll factor).
     pub width: usize,
+    /// Producers per consumer child (`deps` indexed by consumer), so the
+    /// per-cycle start gates don't rescan the whole edge list.
+    pub deps_in: Vec<Vec<usize>>,
+    /// `(consumer, depth)` per producer child (`deps` indexed by producer).
+    pub deps_out: Vec<Vec<(usize, usize)>>,
+}
+
+impl OuterModel {
+    /// A model with its dependence edges indexed per child.
+    pub fn new(
+        schedule: Schedule,
+        children: Vec<CtrlId>,
+        deps: Vec<(usize, usize, usize)>,
+        width: usize,
+    ) -> OuterModel {
+        let mut om = OuterModel {
+            schedule,
+            deps_in: vec![Vec::new(); children.len()],
+            deps_out: vec![Vec::new(); children.len()],
+            children,
+            deps,
+            width,
+        };
+        om.index_deps();
+        om
+    }
+
+    fn index_deps(&mut self) {
+        self.deps_in.iter_mut().for_each(Vec::clear);
+        self.deps_out.iter_mut().for_each(Vec::clear);
+        for &(pr, co, depth) in &self.deps {
+            self.deps_in[co].push(pr);
+            self.deps_out[pr].push((co, depth));
+        }
+    }
 }
 
 /// All per-controller models plus global bookkeeping.
 #[derive(Debug)]
 pub struct SimModel {
     /// Compute models keyed by controller id.
-    pub compute: HashMap<CtrlId, ComputeModel>,
+    pub compute: CtrlTable<ComputeModel>,
     /// Transfer models keyed by controller id.
-    pub transfer: HashMap<CtrlId, TransferModel>,
+    pub transfer: CtrlTable<TransferModel>,
     /// Outer models keyed by controller id.
-    pub outer: HashMap<CtrlId, OuterModel>,
+    pub outer: CtrlTable<OuterModel>,
     /// Invocation slots per controller (ancestor unroll copies).
-    pub ctrl_slots: HashMap<CtrlId, usize>,
+    pub ctrl_slots: CtrlTable<usize>,
     /// Port capacity per logical memory unit (physical PMUs backing it).
     pub mem_ports: HashMap<UnitId, usize>,
     /// DRAM buffer byte bases (copied from the config).
     pub dram_base: Vec<u64>,
     /// Words of scratchpad traffic per trip, per compute ctrl (reads, writes).
-    pub sram_words: HashMap<CtrlId, (u64, u64)>,
+    pub sram_words: CtrlTable<(u64, u64)>,
+    /// The hardware unit each leaf controller occupies (its compute or
+    /// transfer model's unit).
+    pub units: CtrlTable<UnitId>,
     /// Every PCU/PMU/AG unit, in configuration order, with display labels —
     /// the population the stall attribution classifies each cycle.
     pub tracked: Vec<TrackedUnit>,
+}
+
+impl SimModel {
+    /// Clamps every producer→consumer buffer depth to `cap` credits (the
+    /// `credit_cap` testing hook).
+    pub fn cap_credits(&mut self, cap: usize) {
+        for om in self.outer.values_mut() {
+            for d in &mut om.deps {
+                d.2 = d.2.min(cap);
+            }
+            om.index_deps();
+        }
+    }
+
+    /// The hardware unit a leaf controller occupies, if it has any.
+    #[inline]
+    pub fn unit_of(&self, ctrl: CtrlId) -> Option<UnitId> {
+        self.units.get(ctrl).copied()
+    }
 }
 
 /// Whether any load in the function has a data-dependent (non-affine)
@@ -164,10 +301,12 @@ impl SimModel {
             *e = (*e).max(l.hops as u64);
         }
 
-        let mut compute = HashMap::new();
-        let mut transfer = HashMap::new();
-        let mut sram_words = HashMap::new();
-        let mut ctrl_slots = HashMap::new();
+        let n = p.ctrls().len();
+        let mut compute = CtrlTable::new(n);
+        let mut transfer = CtrlTable::new(n);
+        let mut sram_words = CtrlTable::new(n);
+        let mut ctrl_slots = CtrlTable::new(n);
+        let mut units = CtrlTable::new(n);
 
         for (i, u) in cfg.units.iter().enumerate() {
             let uid = UnitId(i as u32);
@@ -283,10 +422,12 @@ impl SimModel {
                             heavy_per_trip: v.ops.iter().filter(|o| o.heavy).count() as u64,
                             red_ops_per_vec,
                             phys_pcus: c.sites.len(),
+                            busy_pcus: (c.sites.len() / anc).max(1) as u64,
                         },
                     );
                     sram_words.insert(cid, (rd_words, wr_words));
                     ctrl_slots.insert(cid, anc);
+                    units.insert(cid, uid);
                 }
                 UnitCfg::Ag(a) => {
                     let cid = a.ctrl;
@@ -311,25 +452,26 @@ impl SimModel {
                         },
                     );
                     ctrl_slots.insert(cid, anc);
+                    units.insert(cid, uid);
                 }
                 _ => {}
             }
         }
 
         // Outer models.
-        let mut outer = HashMap::new();
+        let mut outer = CtrlTable::new(n);
         for u in &cfg.units {
             if let UnitCfg::Outer(o) = u {
                 let cid = o.ctrl;
                 if let CtrlBody::Outer { schedule, children } = &p.ctrl(cid).body {
                     outer.insert(
                         cid,
-                        OuterModel {
-                            schedule: *schedule,
-                            children: children.clone(),
-                            deps: an.sibling_deps(p, cid),
-                            width: p.ctrl(cid).total_par().max(1),
-                        },
+                        OuterModel::new(
+                            *schedule,
+                            children.clone(),
+                            an.sibling_deps(p, cid),
+                            p.ctrl(cid).total_par().max(1),
+                        ),
                     );
                 }
                 ctrl_slots.insert(cid, an.anc_copies[cid.0 as usize].max(1));
@@ -368,6 +510,7 @@ impl SimModel {
             mem_ports,
             dram_base: cfg.alloc.base.clone(),
             sram_words,
+            units,
             tracked,
         }
     }

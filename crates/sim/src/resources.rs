@@ -2,15 +2,16 @@
 //! address generators, the DRAM system, and activity counters.
 
 use crate::deadlock::DeadlockReport;
-use crate::model::SimModel;
+use crate::model::{CtrlTable, SimModel};
 use crate::trace::{
-    SimTrace, Tracer, UnitCycles, UnitStat, UnitStats, CLASS_BUSY, CLASS_IDLE, CLASS_MEM,
+    SimTrace, Tracer, UnitCycles, UnitStat, UnitStats, WaitKind, CLASS_BUSY, CLASS_CTRL,
+    CLASS_IDLE, CLASS_MEM,
 };
 use plasticine_arch::{EccPolicy, FaultRng, PlasticineParams, TransientFaults, UnitId};
 use plasticine_dram::{CoalescingUnit, DramConfig, DramStats, DramSystem, ElemRequest, MemRequest};
 use plasticine_json::Json;
 use plasticine_ppir::CtrlId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Dynamic activity accumulated during simulation — the input to the power
 /// model and the source of Table 7's utilization columns.
@@ -153,6 +154,75 @@ impl FaultStats {
 /// Bits of elem-request ids reserved for the per-job sequence number.
 const ELEM_SEQ_BITS: u64 = 24;
 
+/// Request-id namespace of the first coalescing unit; unit `k` owns the
+/// ids from `CU_NAMESPACE + k * CU_NAMESPACE_SPAN` on. Every id below it
+/// is a dense (direct) request.
+const CU_NAMESPACE: u64 = 1 << 62;
+const CU_NAMESPACE_SPAN: u64 = 1 << 56;
+
+/// The coalescing unit whose namespace holds a request id, if any.
+fn cu_of(id: u64) -> Option<usize> {
+    id.checked_sub(CU_NAMESPACE)
+        .map(|rel| (rel / CU_NAMESPACE_SPAN) as usize)
+}
+
+/// Adds `n` completions to a job's mail: dense lines, or elements.
+fn deliver(mail: &mut Vec<(u64, u64, u64)>, job: u64, line: bool, n: u64) {
+    let i = match mail.iter().position(|m| m.0 == job) {
+        Some(i) => i,
+        None => {
+            mail.push((job, 0, 0));
+            mail.len() - 1
+        }
+    };
+    if line {
+        mail[i].1 += n;
+    } else {
+        mail[i].2 += n;
+    }
+}
+
+/// Widest window of request ids a restore accepts: a checkpoint is input
+/// from outside the program, and the window is allocated densely.
+const MAX_RESTORED_WINDOW: u64 = 1 << 22;
+
+/// A dense-id request in flight: the job to report its completion to, and
+/// whether it reports through the element channel (sparse accesses with
+/// coalescing switched off).
+#[derive(Debug, Clone, Copy)]
+struct DenseReq {
+    job: u64,
+    elem: bool,
+}
+
+/// A note that a parked node would make on every cycle it is not visited
+/// (see [`Resources::stand`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Standing {
+    /// A transfer unit waiting on DRAM responses: `CLASS_MEM`.
+    Mem(UnitId),
+    /// A child that a token or credit gate blocks: `CLASS_CTRL` on its
+    /// unit (leaf children only) and a tracer wait.
+    Gate(CtrlId, Option<UnitId>, WaitKind),
+}
+
+/// Dense indices of one unit, `usize::MAX` where it has none.
+#[derive(Debug, Clone, Copy)]
+struct UnitIdx {
+    /// Stall-attribution slot (tracked units).
+    slot: usize,
+    /// Port index (scratchpads with modelled ports; a unit without one
+    /// always satisfies an acquire).
+    port: usize,
+}
+
+impl UnitIdx {
+    const NONE: UnitIdx = UnitIdx {
+        slot: usize::MAX,
+        port: usize::MAX,
+    };
+}
+
 /// A DRAM request awaiting re-issue after its response was dropped.
 #[derive(Debug, Clone, Copy)]
 struct PendingRetry {
@@ -165,10 +235,11 @@ struct PendingRetry {
 pub struct Resources {
     /// Current cycle.
     pub now: u64,
-    slots: HashMap<CtrlId, usize>,
-    /// Dense port index per scratchpad unit, indexed by raw unit id
-    /// (`usize::MAX` = no modelled ports, always satisfies an acquire).
-    port_idx: Vec<usize>,
+    /// Free invocation slots per controller (no entry: no hardware).
+    slots: CtrlTable<usize>,
+    /// Dense indices per raw unit id: its stall-attribution slot and its
+    /// port index (see [`UnitIdx`]).
+    unit_idx: Vec<UnitIdx>,
     /// Port capacity per dense index (the refresh source).
     port_caps: Vec<usize>,
     /// Remaining read/write tokens this cycle, refreshed from `port_caps`
@@ -178,22 +249,45 @@ pub struct Resources {
     /// The DRAM timing model.
     pub dram: DramSystem,
     cus: Vec<CoalescingUnit>,
-    line_done: HashMap<u64, u64>,
-    elem_done: HashMap<u64, u64>,
-    req_job: HashMap<u64, u64>,
-    req_elem: HashMap<u64, u64>,
+    /// Completions routed to jobs and not yet taken, as `(job, lines,
+    /// elems)`. Filled by `begin_cycle` and drained by the same cycle's
+    /// tick, so it holds only this cycle's deliveries; a job listed here
+    /// is *woken* (see [`woken_in`](Self::woken_in)).
+    mail: Vec<(u64, u64, u64)>,
+    /// Dense-id requests by id: slot `i` is id `req_base + i`, `None` once
+    /// it completed. Ids are consecutive, so the window spans only what is
+    /// in flight.
+    reqs: VecDeque<Option<DenseReq>>,
+    req_base: u64,
     next_dense: u64,
-    next_elem_seq: HashMap<u64, u64>,
     coalescing: bool,
+    /// Whether the run steps in event mode, where the control tree parks
+    /// nodes whose ticks cannot change anything.
+    event: bool,
+    /// Standing notes of parked nodes, per tracked unit slot:
+    /// `[CLASS_CTRL count, CLASS_MEM count]`. Applied by every commit.
+    standing: Vec<[u32; 2]>,
+    /// Standing tracer waits of parked nodes, with their multiplicity.
+    standing_waits: BTreeMap<(u32, u8), u32>,
+    /// Number of standing notes registered.
+    standing_n: usize,
     /// Accumulated activity.
     pub activity: Activity,
-    /// Dense slot index per tracked unit, indexed by raw unit id
-    /// (`usize::MAX` = untracked), for stall attribution.
-    unit_slot: Vec<usize>,
     /// Highest-priority class noted for each tracked unit this cycle.
     pending_class: Vec<u8>,
-    /// Committed per-unit cycle breakdowns.
+    /// Committed per-unit cycle breakdowns, up to each unit's current run
+    /// (see [`unit_totals`](Self::unit_totals)).
     unit_cycles: Vec<UnitCycles>,
+    /// Committed cycles so far (committed and skipped alike).
+    committed: u64,
+    /// Per unit: the committed-cycle count at which its current run of
+    /// `last_class` began. Its cycles since then are credited lazily, so a
+    /// commit costs a compare per unit unless the class changes, and a
+    /// skipped span costs nothing per unit.
+    run_start: Vec<u64>,
+    /// Healing-overlay cycles every unit accrued since `unit_cycles` last
+    /// took them (the overlay covers all units alike).
+    heal_run: u64,
     /// Structured event recorder; `None` keeps tracing zero-cost.
     pub(crate) tracer: Option<Tracer>,
     /// Transient-fault injection stream; `None` when all rates are zero, so
@@ -244,13 +338,16 @@ pub struct Resources {
     push_blocked: bool,
     /// The per-unit class vector committed by the most recent
     /// [`commit_cycle`](Self::commit_cycle); a quiescent cycle re-derives
-    /// exactly this vector, so skipped cycles replay it in bulk.
+    /// exactly this vector, so skipped cycles replay it in bulk. It is
+    /// also the class of each unit's current run.
     last_class: Vec<u8>,
     /// begin_cycle effect flags, consulted by the event kernel.
     /// Whether the latest begin_cycle routed any completion to a job.
     begin_routed: bool,
     /// Whether the latest begin_cycle's DRAM tick issued a column command
-    /// (i.e. freed a channel-queue slot).
+    /// (i.e. freed a channel-queue slot). A per-cycle flag that the next
+    /// begin_cycle overwrites before anything reads it, so it is not
+    /// serialized.
     begin_cols: bool,
     /// Whether, after the latest begin_cycle's coalescer-issue pass, some
     /// coalescing unit still holds line requests blocked on queue capacity.
@@ -279,7 +376,7 @@ impl Resources {
                 CoalescingUnit::with_namespace(
                     params.coalesce_entries,
                     line_bytes,
-                    (1 << 62) + (k as u64) * (1 << 56),
+                    CU_NAMESPACE + (k as u64) * CU_NAMESPACE_SPAN,
                 )
             })
             .collect();
@@ -290,14 +387,13 @@ impl Resources {
             .chain(model.mem_ports.keys().map(|u| u.0 as usize + 1))
             .max()
             .unwrap_or(0);
-        let mut unit_slot = vec![usize::MAX; max_unit];
+        let mut unit_idx = vec![UnitIdx::NONE; max_unit];
         for (i, t) in model.tracked.iter().enumerate() {
-            unit_slot[t.unit.0 as usize] = i;
+            unit_idx[t.unit.0 as usize].slot = i;
         }
-        let mut port_idx = vec![usize::MAX; max_unit];
         let mut port_caps = Vec::new();
         for (u, cap) in &model.mem_ports {
-            port_idx[u.0 as usize] = port_caps.len();
+            unit_idx[u.0 as usize].port = port_caps.len();
             port_caps.push(*cap);
         }
         let read_tokens = port_caps.clone();
@@ -305,23 +401,27 @@ impl Resources {
         Resources {
             now: 0,
             slots: model.ctrl_slots.clone(),
-            port_idx,
+            unit_idx,
             port_caps,
             read_tokens,
             write_tokens,
             dram: DramSystem::new(dram_cfg),
             cus,
-            line_done: HashMap::new(),
-            elem_done: HashMap::new(),
-            req_job: HashMap::new(),
-            req_elem: HashMap::new(),
+            mail: Vec::new(),
+            reqs: VecDeque::new(),
+            req_base: 0,
             next_dense: 0,
-            next_elem_seq: HashMap::new(),
             coalescing: true,
+            event: false,
+            standing: vec![[0; 2]; model.tracked.len()],
+            standing_waits: BTreeMap::new(),
+            standing_n: 0,
             activity: Activity::default(),
-            unit_slot,
             pending_class: vec![CLASS_IDLE; model.tracked.len()],
             unit_cycles: vec![UnitCycles::default(); model.tracked.len()],
+            committed: 0,
+            run_start: vec![0; model.tracked.len()],
+            heal_run: 0,
             tracer: None,
             rng: None,
             transients: TransientFaults::default(),
@@ -425,6 +525,70 @@ impl Resources {
         self.push_blocked = false;
     }
 
+    /// Selects event stepping, under which the control tree parks nodes
+    /// whose ticks cannot change anything (cycle stepping visits every
+    /// active node every cycle).
+    pub(crate) fn set_event_mode(&mut self, on: bool) {
+        self.event = on;
+    }
+
+    /// Whether the control tree may park nodes (see
+    /// [`set_event_mode`](Self::set_event_mode)).
+    #[inline]
+    pub(crate) fn event_mode(&self) -> bool {
+        self.event
+    }
+
+    /// Registers (`add`) or withdraws the standing notes of a parked node.
+    /// A parked node is not visited, so every commit makes its notes for
+    /// it: the highest standing class per unit, and each standing tracer
+    /// wait as many times as it is registered — exactly what visiting the
+    /// node would have noted, since a parked node's tick repeats itself.
+    pub(crate) fn stand(&mut self, notes: &[Standing], add: bool) {
+        for n in notes {
+            let (unit, class) = match *n {
+                Standing::Mem(u) => (Some(u), 1),
+                Standing::Gate(ctrl, u, kind) => {
+                    if self.tracer.is_some() {
+                        let c = self
+                            .standing_waits
+                            .entry((ctrl.0, kind.code()))
+                            .or_insert(0);
+                        if add {
+                            *c += 1;
+                        } else {
+                            *c -= 1;
+                            if *c == 0 {
+                                self.standing_waits.remove(&(ctrl.0, kind.code()));
+                            }
+                        }
+                    }
+                    (u, 0)
+                }
+            };
+            if let Some(s) = unit.and_then(|u| self.slot_of(u)) {
+                let c = &mut self.standing[s][class];
+                if add {
+                    *c += 1;
+                } else {
+                    *c -= 1;
+                }
+            }
+        }
+        if add {
+            self.standing_n += notes.len();
+        } else {
+            self.standing_n -= notes.len();
+        }
+    }
+
+    /// Whether a completion was routed this cycle to a job in `lo..hi` and
+    /// not taken yet: a parked transfer of such a job must be visited.
+    #[inline]
+    pub(crate) fn woken_in(&self, lo: u64, hi: u64) -> bool {
+        lo < hi && self.mail.iter().any(|&(j, _, _)| lo <= j && j < hi)
+    }
+
     /// A request that exceeded its retry budget, if any: `(addr, attempts)`.
     pub(crate) fn take_fault_exhaustion(&mut self) -> Option<(u64, u32)> {
         self.fault_exhausted.take()
@@ -438,8 +602,8 @@ impl Resources {
     /// Stall-attribution slot for a unit, if tracked.
     #[inline]
     fn slot_of(&self, unit: UnitId) -> Option<usize> {
-        match self.unit_slot.get(unit.0 as usize) {
-            Some(&s) if s != usize::MAX => Some(s),
+        match self.unit_idx.get(unit.0 as usize).map(|x| x.slot) {
+            Some(s) if s != usize::MAX => Some(s),
             _ => None,
         }
     }
@@ -447,8 +611,8 @@ impl Resources {
     /// Dense port index for a unit, if it has modelled ports.
     #[inline]
     fn port_of(&self, unit: UnitId) -> Option<usize> {
-        match self.port_idx.get(unit.0 as usize) {
-            Some(&p) if p != usize::MAX => Some(p),
+        match self.unit_idx.get(unit.0 as usize).map(|x| x.port) {
+            Some(p) if p != usize::MAX => Some(p),
             _ => None,
         }
     }
@@ -525,6 +689,7 @@ impl Resources {
 
     /// Notes a cycle-class observation for a unit; the highest-priority
     /// class noted during a cycle wins at [`commit_cycle`](Self::commit_cycle).
+    #[inline]
     pub(crate) fn note(&mut self, unit: UnitId, class: u8) {
         if let Some(s) = self.slot_of(unit) {
             let p = &mut self.pending_class[s];
@@ -536,21 +701,43 @@ impl Resources {
     /// class (defaulting to idle), so per unit the four counters always sum
     /// to the number of committed cycles.
     pub(crate) fn commit_cycle(&mut self) {
-        let heal = self.healing_active;
-        for ((p, c), l) in self
+        if self.standing_n > 0 {
+            for (p, s) in self.pending_class.iter_mut().zip(&self.standing) {
+                let standing = if s[1] > 0 {
+                    CLASS_MEM
+                } else if s[0] > 0 {
+                    CLASS_CTRL
+                } else {
+                    CLASS_IDLE
+                };
+                *p = (*p).max(standing);
+            }
+            if let Some(t) = self.tracer.as_mut() {
+                for (&(ctrl, kind), &n) in &self.standing_waits {
+                    for _ in 0..n {
+                        t.wait(CtrlId(ctrl), WaitKind::from_code(kind), self.now);
+                    }
+                }
+            }
+        }
+        let at = self.committed;
+        self.committed += 1;
+        for (((p, c), l), r) in self
             .pending_class
             .iter_mut()
             .zip(&mut self.unit_cycles)
             .zip(&mut self.last_class)
+            .zip(&mut self.run_start)
         {
-            c.bump(*p);
-            if heal {
-                c.healing += 1;
+            if *p != *l {
+                c.bump_by(*l, at - *r);
+                *l = *p;
+                *r = at;
             }
-            *l = *p;
             *p = CLASS_IDLE;
         }
-        if heal {
+        if self.healing_active {
+            self.heal_run += 1;
             self.fault_stats.healing_cycles += self.unit_cycles.len() as u64;
         }
     }
@@ -561,16 +748,20 @@ impl Resources {
     /// class. Keeps the per-unit invariant busy+ctrl+mem+idle == total
     /// cycles exact.
     pub(crate) fn commit_skipped(&mut self, k: u64) {
-        let heal = self.healing_active;
-        for (l, c) in self.last_class.iter().zip(&mut self.unit_cycles) {
-            c.bump_by(*l, k);
-            if heal {
-                c.healing += k;
-            }
-        }
-        if heal {
+        self.committed += k;
+        if self.healing_active {
+            self.heal_run += k;
             self.fault_stats.healing_cycles += self.unit_cycles.len() as u64 * k;
         }
+    }
+
+    /// Unit `s`'s breakdown over every committed cycle: its credited
+    /// totals plus its current run and the shared healing overlay.
+    fn unit_totals(&self, s: usize) -> UnitCycles {
+        let mut c = self.unit_cycles[s];
+        c.bump_by(self.last_class[s], self.committed - self.run_start[s]);
+        c.healing += self.heal_run;
+        c
     }
 
     /// Advances the clock by `k` cycles without simulating them (all state
@@ -594,12 +785,12 @@ impl Resources {
             units: model
                 .tracked
                 .iter()
-                .zip(&self.unit_cycles)
-                .map(|(t, c)| UnitStat {
+                .enumerate()
+                .map(|(s, t)| UnitStat {
                     unit: t.unit,
                     kind: t.kind,
                     label: t.label.clone(),
-                    cycles: *c,
+                    cycles: self.unit_totals(s),
                 })
                 .collect(),
         }
@@ -696,30 +887,55 @@ impl Resources {
         self.begin_routed = !completions.is_empty();
         // Route dense completions to jobs.
         for c in &completions {
-            if let Some(job) = self.req_job.remove(&c.id) {
-                *self.line_done.entry(job).or_insert(0) += 1;
-                if let Some(t) = self.tracer.as_mut() {
-                    t.dram_done(c.id, c.at);
-                }
-            } else if let Some(job) = self.req_elem.remove(&c.id) {
-                *self.elem_done.entry(job).or_insert(0) += 1;
+            if c.id >= CU_NAMESPACE {
+                continue;
+            }
+            if let Some(r) = self.take_dense(c.id) {
+                deliver(&mut self.mail, r.job, !r.elem, 1);
                 if let Some(t) = self.tracer.as_mut() {
                     t.dram_done(c.id, c.at);
                 }
             }
         }
-        // Route coalesced element completions to jobs.
+        // Route coalesced element completions to jobs: each goes to the
+        // unit its id namespace names, unit by unit in completion order.
         let now = self.now;
-        for cu in &mut self.cus {
-            for e in cu.absorb(&completions) {
-                let job = e.id >> ELEM_SEQ_BITS;
-                *self.elem_done.entry(job).or_insert(0) += 1;
-                if let Some(t) = self.tracer.as_mut() {
-                    t.dram_done(e.id, now);
+        if completions.iter().any(|c| c.id >= CU_NAMESPACE) {
+            for (k, cu) in self.cus.iter_mut().enumerate() {
+                for c in completions.iter().filter(|c| cu_of(c.id) == Some(k)) {
+                    for e in cu.absorb_one(c.id).unwrap_or_default() {
+                        deliver(&mut self.mail, e.id >> ELEM_SEQ_BITS, false, 1);
+                        if let Some(t) = self.tracer.as_mut() {
+                            t.dram_done(e.id, now);
+                        }
+                    }
                 }
             }
         }
         self.now += 1;
+    }
+
+    /// Records a dense-id request in flight.
+    fn track_dense(&mut self, id: u64, r: DenseReq) {
+        if self.reqs.is_empty() {
+            self.req_base = id;
+        }
+        let slot = (id - self.req_base) as usize;
+        if self.reqs.len() <= slot {
+            self.reqs.resize(slot + 1, None);
+        }
+        self.reqs[slot] = Some(r);
+    }
+
+    /// Completes a dense-id request, returning whom it reports to.
+    fn take_dense(&mut self, id: u64) -> Option<DenseReq> {
+        let slot = usize::try_from(id.checked_sub(self.req_base)?).ok()?;
+        let r = self.reqs.get_mut(slot)?.take()?;
+        while let Some(None) = self.reqs.front() {
+            self.reqs.pop_front();
+            self.req_base += 1;
+        }
+        Some(r)
     }
 
     /// Earliest cycle at which a backed-off retry becomes due. `now` itself
@@ -824,7 +1040,7 @@ impl Resources {
 
     /// Tries to reserve an invocation slot for a controller.
     pub fn acquire_slot(&mut self, ctrl: CtrlId) -> bool {
-        match self.slots.get_mut(&ctrl) {
+        match self.slots.get_mut(ctrl) {
             Some(n) if *n > 0 => {
                 *n -= 1;
                 self.progress = true;
@@ -844,14 +1060,14 @@ impl Resources {
     /// Invocation-slot occupancy for a controller: `(in_use, capacity)`.
     /// Capacity 0 with a missing entry means the controller has no hardware.
     pub(crate) fn slot_usage(&self, ctrl: CtrlId, model: &SimModel) -> (usize, usize) {
-        let cap = model.ctrl_slots.get(&ctrl).copied().unwrap_or(0);
-        let free = self.slots.get(&ctrl).copied().unwrap_or(cap);
+        let cap = model.ctrl_slots.get(ctrl).copied().unwrap_or(0);
+        let free = self.slots.get(ctrl).copied().unwrap_or(cap);
         (cap - free, cap)
     }
 
     /// Releases an invocation slot.
     pub fn release_slot(&mut self, ctrl: CtrlId) {
-        if let Some(n) = self.slots.get_mut(&ctrl) {
+        if let Some(n) = self.slots.get_mut(ctrl) {
             *n += 1;
         }
         // Not `progress` (freeing a slot does not advance work by itself),
@@ -898,17 +1114,20 @@ impl Resources {
         if !ok {
             return false;
         }
-        for u in reads {
-            if let Some(p) = self.port_of(*u) {
-                self.read_tokens[p] -= 1;
+        for (units, tokens) in [
+            (reads, &mut self.read_tokens),
+            (writes, &mut self.write_tokens),
+        ] {
+            for u in units {
+                if let Some(x) = self.unit_idx.get(u.0 as usize) {
+                    if x.port != usize::MAX {
+                        tokens[x.port] -= 1;
+                    }
+                    if x.slot != usize::MAX {
+                        self.pending_class[x.slot] = CLASS_BUSY; // the top class
+                    }
+                }
             }
-            self.note(*u, CLASS_BUSY);
-        }
-        for u in writes {
-            if let Some(p) = self.port_of(*u) {
-                self.write_tokens[p] -= 1;
-            }
-            self.note(*u, CLASS_BUSY);
         }
         if !reads.is_empty() || !writes.is_empty() {
             self.activity.pmu_busy_cycles += 1;
@@ -933,7 +1152,7 @@ impl Resources {
             is_write,
         }) {
             Ok(()) => {
-                self.req_job.insert(id, job);
+                self.track_dense(id, DenseReq { job, elem: false });
                 self.progress = true;
                 self.changed = true;
                 if let Some(t) = self.tracer.as_mut() {
@@ -949,8 +1168,9 @@ impl Resources {
     }
 
     /// Pushes one sparse element request through the coalescing unit owning
-    /// the element's channel. Returns false on backpressure.
-    pub fn push_sparse(&mut self, job: u64, byte_addr: u64, is_write: bool) -> bool {
+    /// the element's channel; `seq` numbers the job's element requests
+    /// (how many it pushed before). Returns false on backpressure.
+    pub fn push_sparse(&mut self, job: u64, seq: u64, byte_addr: u64, is_write: bool) -> bool {
         if !self.coalescing {
             // Ablation: every element is its own DRAM burst.
             if !self.dram.can_accept(byte_addr) {
@@ -966,7 +1186,7 @@ impl Resources {
                 Ok(()) => {
                     self.next_dense += 1;
                     // Report it back through the element channel.
-                    self.req_elem.insert(id, job);
+                    self.track_dense(id, DenseReq { job, elem: true });
                     self.progress = true;
                     self.changed = true;
                     if let Some(t) = self.tracer.as_mut() {
@@ -983,14 +1203,12 @@ impl Resources {
             let chan = self.dram.config().map(byte_addr).channel;
             let n_cus = self.cus.len();
             let cu = &mut self.cus[chan % n_cus];
-            let seq = self.next_elem_seq.entry(job).or_insert(0);
-            let id = (job << ELEM_SEQ_BITS) | (*seq & ((1 << ELEM_SEQ_BITS) - 1));
+            let id = (job << ELEM_SEQ_BITS) | (seq & ((1 << ELEM_SEQ_BITS) - 1));
             if cu.try_push(ElemRequest {
                 id,
                 byte_addr,
                 is_write,
             }) {
-                *seq += 1;
                 self.progress = true;
                 self.changed = true;
                 if let Some(t) = self.tracer.as_mut() {
@@ -1006,18 +1224,24 @@ impl Resources {
 
     /// Takes the number of dense-line completions accumulated for a job.
     pub fn take_lines(&mut self, job: u64) -> u64 {
-        if self.line_done.is_empty() {
-            return 0; // common case in compute phases: skip the hash
-        }
-        self.line_done.remove(&job).unwrap_or(0)
+        self.take_mail(job, true)
     }
 
     /// Takes the number of element completions accumulated for a job.
     pub fn take_elems(&mut self, job: u64) -> u64 {
-        if self.elem_done.is_empty() {
+        self.take_mail(job, false)
+    }
+
+    fn take_mail(&mut self, job: u64, lines: bool) -> u64 {
+        let Some(i) = self.mail.iter().position(|m| m.0 == job) else {
             return 0;
+        };
+        let m = &mut self.mail[i];
+        let n = std::mem::take(if lines { &mut m.1 } else { &mut m.2 });
+        if m.1 == 0 && m.2 == 0 {
+            self.mail.swap_remove(i);
         }
-        self.elem_done.remove(&job).unwrap_or(0)
+        n
     }
 
     /// Aggregate DRAM statistics.
@@ -1056,17 +1280,31 @@ impl Resources {
             self.fault_exhausted.is_none(),
             "snapshot with an untaken fault-exhaustion event"
         );
-        let hexmap = |m: &HashMap<u64, u64>| {
-            let mut kv: Vec<_> = m.iter().map(|(&k, &v)| (k, v)).collect();
+        let hexmap = |kv: &mut Vec<(u64, u64)>| {
             kv.sort_unstable();
             Json::Arr(
-                kv.into_iter()
-                    .map(|(k, v)| Json::Arr(vec![Json::hex(k), Json::hex(v)]))
+                kv.iter()
+                    .map(|&(k, v)| Json::Arr(vec![Json::hex(k), Json::hex(v)]))
                     .collect(),
             )
         };
-        let mut slots: Vec<_> = self.slots.iter().map(|(&c, &n)| (c, n)).collect();
-        slots.sort_unstable();
+        let mail = |lines: bool| {
+            let mut kv: Vec<_> = self
+                .mail
+                .iter()
+                .map(|&(j, l, e)| (j, if lines { l } else { e }))
+                .filter(|&(_, n)| n > 0)
+                .collect();
+            hexmap(&mut kv)
+        };
+        let reqs = |elem: bool| {
+            let mut kv: Vec<_> = (self.req_base..)
+                .zip(&self.reqs)
+                .filter_map(|(id, r)| r.filter(|r| r.elem == elem).map(|r| (id, r.job)))
+                .collect();
+            hexmap(&mut kv)
+        };
+        let slots: Vec<_> = self.slots.iter().map(|(c, &n)| (c, n)).collect();
         let mut drops: Vec<_> = self.drop_attempts.iter().map(|(&k, &v)| (k, v)).collect();
         drops.sort_unstable();
         let a = &self.activity;
@@ -1089,12 +1327,11 @@ impl Resources {
                 "cus",
                 Json::Arr(self.cus.iter().map(|cu| cu.snapshot()).collect()),
             ),
-            ("line_done", hexmap(&self.line_done)),
-            ("elem_done", hexmap(&self.elem_done)),
-            ("req_job", hexmap(&self.req_job)),
-            ("req_elem", hexmap(&self.req_elem)),
+            ("line_done", mail(true)),
+            ("elem_done", mail(false)),
+            ("req_job", reqs(false)),
+            ("req_elem", reqs(true)),
             ("next_dense", Json::from(self.next_dense)),
-            ("next_elem_seq", hexmap(&self.next_elem_seq)),
             (
                 "activity",
                 Json::obj([
@@ -1114,9 +1351,9 @@ impl Resources {
             (
                 "unit_cycles",
                 Json::Arr(
-                    self.unit_cycles
-                        .iter()
-                        .map(|u| {
+                    (0..self.unit_cycles.len())
+                        .map(|s| {
+                            let u = self.unit_totals(s);
                             Json::obj([
                                 ("busy", Json::from(u.busy)),
                                 ("ctrl", Json::from(u.ctrl_stall)),
@@ -1219,7 +1456,6 @@ impl Resources {
                     ("changed", Json::from(self.changed)),
                     ("push_blocked", Json::from(self.push_blocked)),
                     ("begin_routed", Json::from(self.begin_routed)),
-                    ("begin_cols", Json::from(self.begin_cols)),
                     ("cu_pending", Json::from(self.cu_pending)),
                 ]),
             ),
@@ -1291,12 +1527,35 @@ impl Resources {
         for (cu, cj) in self.cus.iter_mut().zip(cus) {
             cu.restore(cj)?;
         }
-        self.line_done = pairs(j, "line_done")?.into_iter().collect();
-        self.elem_done = pairs(j, "elem_done")?.into_iter().collect();
-        self.req_job = pairs(j, "req_job")?.into_iter().collect();
-        self.req_elem = pairs(j, "req_elem")?.into_iter().collect();
+        self.mail.clear();
+        for (job, n) in pairs(j, "line_done")? {
+            deliver(&mut self.mail, job, true, n);
+        }
+        for (job, n) in pairs(j, "elem_done")? {
+            deliver(&mut self.mail, job, false, n);
+        }
         self.next_dense = u64_of(j, "next_dense")?;
-        self.next_elem_seq = pairs(j, "next_elem_seq")?.into_iter().collect();
+        let mut reqs: Vec<(u64, DenseReq)> = Vec::new();
+        for (elem, key) in [(false, "req_job"), (true, "req_elem")] {
+            for (id, job) in pairs(j, key)? {
+                if id >= self.next_dense {
+                    return Err(format!(
+                        "field `{key}`: request id {id:#x} was never issued"
+                    ));
+                }
+                reqs.push((id, DenseReq { job, elem }));
+            }
+        }
+        reqs.sort_unstable_by_key(|&(id, _)| id);
+        if let (Some(first), Some(last)) = (reqs.first(), reqs.last()) {
+            if last.0 - first.0 >= MAX_RESTORED_WINDOW {
+                return Err("requests in flight span too wide an id window".to_string());
+            }
+        }
+        self.reqs.clear();
+        for (id, r) in reqs {
+            self.track_dense(id, r);
+        }
         let a = field(j, "activity")?;
         self.activity = Activity {
             fu_ops: u64_of(a, "fu_ops")?,
@@ -1417,7 +1676,7 @@ impl Resources {
         self.changed = bool_of(fl, "changed")?;
         self.push_blocked = bool_of(fl, "push_blocked")?;
         self.begin_routed = bool_of(fl, "begin_routed")?;
-        self.begin_cols = bool_of(fl, "begin_cols")?;
+        self.begin_cols = false;
         self.cu_pending = bool_of(fl, "cu_pending")?;
         let lc = arr_of(j, "last_class")?;
         if lc.len() != self.last_class.len() {
@@ -1431,6 +1690,15 @@ impl Resources {
         }
         self.fault_exhausted = None;
         self.pending_class.fill(CLASS_IDLE);
+        // The restored totals cover every committed cycle.
+        self.committed = self.now;
+        self.run_start.fill(self.now);
+        self.heal_run = 0;
+        // Park state is derived: a restored tree starts with every node
+        // awake, so nothing stands.
+        self.standing.fill([0; 2]);
+        self.standing_waits.clear();
+        self.standing_n = 0;
         Ok(())
     }
 }
@@ -1441,13 +1709,14 @@ mod tests {
 
     fn empty_model() -> SimModel {
         SimModel {
-            compute: HashMap::new(),
-            transfer: HashMap::new(),
-            outer: HashMap::new(),
-            ctrl_slots: HashMap::new(),
+            compute: CtrlTable::new(0),
+            transfer: CtrlTable::new(0),
+            outer: CtrlTable::new(0),
+            ctrl_slots: CtrlTable::new(0),
             mem_ports: HashMap::new(),
             dram_base: vec![],
-            sram_words: HashMap::new(),
+            sram_words: CtrlTable::new(0),
+            units: CtrlTable::new(0),
             tracked: vec![],
         }
     }
@@ -1490,7 +1759,7 @@ mod tests {
             },
         );
         assert!(r.push_dense(7, 0, false));
-        assert!(r.push_sparse(9, 4096, false));
+        assert!(r.push_sparse(9, 0, 4096, false));
         let mut lines = 0;
         let mut elems = 0;
         for _ in 0..10_000 {

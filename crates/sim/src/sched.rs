@@ -5,21 +5,12 @@
 
 use crate::deadlock::{BlockedUnit, HeldResource, WaitCause};
 use crate::model::{SimModel, TransferModel};
-use crate::resources::Resources;
+use crate::resources::{Resources, Standing};
 use crate::trace::{WaitKind, CLASS_BUSY, CLASS_CTRL, CLASS_MEM};
 use plasticine_arch::UnitId;
 use plasticine_dram::lines_for_range;
 use plasticine_json::Json;
 use plasticine_ppir::{CtrlId, LeafWork, Schedule, TraceNode};
-
-/// The hardware unit a leaf controller occupies, if it has any.
-fn unit_of(model: &SimModel, ctrl: CtrlId) -> Option<UnitId> {
-    model
-        .compute
-        .get(&ctrl)
-        .map(|c| c.unit)
-        .or_else(|| model.transfer.get(&ctrl).map(|t| t.unit))
-}
 
 /// The request list a transfer leaf walks in `Xfer`: per-element accesses
 /// for sparse transfers, 64-byte lines for dense ones. Deterministic in
@@ -49,8 +40,9 @@ fn xfer_reqs(work: &LeafWork, tm: &TransferModel, model: &SimModel) -> Vec<(u64,
 /// One node of the runtime schedule tree.
 #[derive(Debug)]
 pub enum Node {
-    /// An outer-controller invocation.
-    Outer(OuterNode),
+    /// An outer-controller invocation. Boxed: leaves far outnumber outer
+    /// nodes, and every leaf slot is as large as the largest variant.
+    Outer(Box<OuterNode>),
     /// A leaf invocation.
     Leaf(LeafNode),
 }
@@ -72,16 +64,8 @@ impl Node {
                 })
             }
             TraceNode::Outer { ctrl, iters } => {
-                let om = model.outer.get(&ctrl).expect("outer model");
-                let n_children = om.children.len();
-                // Index the dep edges per child once, so the per-cycle start
-                // gates don't rescan the whole edge list.
-                let mut deps_in = vec![Vec::new(); n_children];
-                let mut deps_out = vec![Vec::new(); n_children];
-                for &(pr, co, depth) in &om.deps {
-                    deps_in[co].push(pr);
-                    deps_out[pr].push((co, depth));
-                }
+                let n_children = model.outer.get(ctrl).expect("outer model").children.len();
+                let first_job = *next_job;
                 let iters: Vec<Vec<Option<Node>>> = iters
                     .into_iter()
                     .map(|ch| {
@@ -90,18 +74,9 @@ impl Node {
                             .collect()
                     })
                     .collect();
-                let n_iters = iters.len();
-                Node::Outer(OuterNode {
+                Node::Outer(Box::new(OuterNode {
                     ctrl,
-                    schedule: om.schedule,
-                    width: om.width,
-                    deps: om.deps.clone(),
-                    deps_in,
-                    deps_out,
                     in_flight: vec![0; n_children],
-                    children: om.children.clone(),
-                    n_children,
-                    n_iters,
                     iters,
                     started: vec![0; n_children],
                     completed: vec![Vec::new(); n_children],
@@ -110,7 +85,12 @@ impl Node {
                     holds_slot: false,
                     done: false,
                     seq_cursor: (0, 0),
-                })
+                    jobs: (first_job, *next_job),
+                    park: Vec::new(),
+                    parked: false,
+                    wake_at: u64::MAX,
+                    gates: Vec::new(),
+                }))
             }
         }
     }
@@ -138,7 +118,9 @@ impl Node {
     /// freed queue capacity, a retry expiry — is an externally generated
     /// event the run loop's event kernel tracks separately; and in a
     /// quiescent cycle no purely internal transition is pending (anything
-    /// startable would have started and marked the cycle changed).
+    /// startable would have started and marked the cycle changed). An
+    /// outer node keeps this minimum over its subtree as of its last
+    /// visit, which nothing has changed since, so this reads one field.
     pub(crate) fn next_wake(&self) -> u64 {
         match self {
             Node::Leaf(l) => match &l.state {
@@ -149,13 +131,39 @@ impl Node {
                 if o.done {
                     u64::MAX
                 } else {
-                    o.active
-                        .iter()
-                        .map(|(_, _, n)| n.next_wake())
-                        .min()
-                        .unwrap_or(u64::MAX)
+                    o.wake_at
                 }
             }
+        }
+    }
+
+    /// How the node parks after a visit (event stepping only): a draining
+    /// leaf until its finish cycle; a transfer that has pushed every
+    /// request until a completion is routed to its job; an outer node
+    /// whose visit found every active child parked until its subtree's
+    /// earliest finish or a completion routed into its job range. Until
+    /// then its tick would change nothing and only repeat its notes.
+    fn park(&self, model: &SimModel) -> Park {
+        match self {
+            Node::Leaf(l) => match &l.state {
+                LeafState::Drain { finish, .. } => Park {
+                    until: *finish,
+                    jobs: (0, 0),
+                    mem: None,
+                },
+                LeafState::Xfer { .. } if l.awaits_responses() => Park {
+                    until: u64::MAX,
+                    jobs: (l.job, l.job + 1),
+                    mem: model.unit_of(l.ctrl),
+                },
+                _ => AWAKE,
+            },
+            Node::Outer(o) if o.parked => Park {
+                until: o.wake_at,
+                jobs: o.jobs,
+                mem: None,
+            },
+            Node::Outer(_) => AWAKE,
         }
     }
 
@@ -291,7 +299,7 @@ impl Node {
                     "xfer" => {
                         let tm = model
                             .transfer
-                            .get(&l.ctrl)
+                            .get(l.ctrl)
                             .ok_or_else(|| "xfer state on a non-transfer leaf".to_string())?;
                         let reqs = xfer_reqs(&l.work, tm, model);
                         let next = usize_of(s, "next")?;
@@ -321,9 +329,9 @@ impl Node {
                 let started = arr_of(j, "started")?;
                 let water = arr_of(j, "water")?;
                 let completed = arr_of(j, "completed")?;
-                if started.len() != o.n_children
-                    || water.len() != o.n_children
-                    || completed.len() != o.n_children
+                if started.len() != o.n_children()
+                    || water.len() != o.n_children()
+                    || completed.len() != o.n_children()
                 {
                     return Err("child count mismatch".to_string());
                 }
@@ -337,7 +345,7 @@ impl Node {
                     let flags = cj
                         .as_arr()
                         .ok_or_else(|| "completed row is not an array".to_string())?;
-                    if flags.len() > o.n_iters {
+                    if flags.len() > o.n_iters() {
                         return Err("completed row longer than iteration count".to_string());
                     }
                     let mut row = Vec::with_capacity(flags.len());
@@ -370,11 +378,14 @@ impl Node {
                         .as_usize()
                         .ok_or_else(|| "bad seq child".to_string())?,
                 );
+                o.parked = false;
+                o.wake_at = u64::MAX;
+                o.gates.clear();
                 o.active.clear();
                 for aj in arr_of(j, "active")? {
                     let it = usize_of(aj, "it")?;
                     let ch = usize_of(aj, "ch")?;
-                    if it >= o.n_iters || ch >= o.n_children {
+                    if it >= o.n_iters() || ch >= o.n_children() {
                         return Err("active position out of range".to_string());
                     }
                     let mut node = o.iters[it][ch]
@@ -383,30 +394,51 @@ impl Node {
                     node.restore(field(aj, "node")?, model)?;
                     o.active.push((it, ch, node));
                 }
+                o.park = vec![AWAKE; o.active.len()];
+                o.in_flight.fill(0);
+                for (_, ch, node) in &o.active {
+                    if node.occupying() {
+                        o.in_flight[*ch] += 1;
+                    }
+                }
                 Ok(())
             }
         }
     }
 }
 
-/// Runtime state of an outer-controller invocation.
+/// What a parent keeps of an active child between visits, beside
+/// `active` (same positions), so that passing over an asleep child reads
+/// these few words instead of the child.
+#[derive(Debug, Clone, Copy)]
+struct Park {
+    /// Cycle the child wakes on its own; 0 for a child that is not parked
+    /// and must be visited every cycle.
+    until: u64,
+    /// Jobs `lo..hi` whose routed completions wake the child.
+    jobs: (u64, u64),
+    /// A waiting transfer's unit: its `CLASS_MEM` note stands while the
+    /// transfer is parked.
+    mem: Option<UnitId>,
+}
+
+/// The park entry of a child that must be visited.
+const AWAKE: Park = Park {
+    until: 0,
+    jobs: (0, 0),
+    mem: None,
+};
+
+/// Runtime state of an outer-controller invocation. What is the same for
+/// every invocation of the controller (schedule, children, dependence
+/// edges, width) lives in its [`OuterModel`](crate::OuterModel).
 #[derive(Debug)]
 pub struct OuterNode {
     ctrl: CtrlId,
-    schedule: Schedule,
-    width: usize,
-    deps: Vec<(usize, usize, usize)>,
-    /// Producers per consumer child (dep edges indexed by consumer).
-    deps_in: Vec<Vec<usize>>,
-    /// `(consumer, depth)` per producer child (dep edges indexed by producer).
-    deps_out: Vec<Vec<(usize, usize)>>,
-    /// Per-child occupying-invocation counts, recomputed by
-    /// [`start_pipelined`](Self::start_pipelined) each tick (scratch buffer).
+    /// Per-child occupying-invocation counts over `active`, kept up to
+    /// date as children start, stop occupying and retire (read by
+    /// [`start_pipelined`](Self::start_pipelined); rebuilt on restore).
     in_flight: Vec<usize>,
-    /// Child controllers, in program order (for stall attribution).
-    children: Vec<CtrlId>,
-    n_children: usize,
-    n_iters: usize,
     /// `iters[i][j]` is taken (`None`) once started.
     iters: Vec<Vec<Option<Node>>>,
     started: Vec<usize>,
@@ -417,9 +449,36 @@ pub struct OuterNode {
     holds_slot: bool,
     done: bool,
     seq_cursor: (usize, usize),
+    /// Job ids `lo..hi` of the leaves in this subtree: `Node::build`
+    /// numbers leaves depth first, so a subtree's jobs are contiguous.
+    jobs: (u64, u64),
+    // Park state: derived from the fields above by the visits, never
+    // serialized, and reset (every node awake) on restore.
+    /// Park entry per active child, at the child's position in `active`.
+    park: Vec<Park>,
+    /// Whether the last visit found every active child parked and started
+    /// nothing, so the next visit would repeat it until a child wakes.
+    parked: bool,
+    /// Earliest pending drain finish in the subtree as of the last visit.
+    wake_at: u64,
+    /// The last visit's gate-blocked children. While the node is parked
+    /// they stand with [`Resources::stand`], which notes them every cycle.
+    gates: Vec<Standing>,
 }
 
 impl OuterNode {
+    fn n_iters(&self) -> usize {
+        self.iters.len()
+    }
+
+    fn n_children(&self) -> usize {
+        self.started.len()
+    }
+
+    fn asleep(&self, res: &Resources) -> bool {
+        self.parked && res.now < self.wake_at && !res.woken_in(self.jobs.0, self.jobs.1)
+    }
+
     fn mark_done(&mut self, iter: usize, child: usize) {
         let c = &mut self.completed[child];
         if c.len() <= iter {
@@ -432,12 +491,19 @@ impl OuterNode {
     }
 
     fn all_done(&self) -> bool {
-        self.active.is_empty() && self.water.iter().all(|&w| w >= self.n_iters)
+        self.active.is_empty() && self.water.iter().all(|&w| w >= self.n_iters())
     }
 
     fn tick(&mut self, res: &mut Resources, model: &SimModel) -> bool {
         if self.done {
             return true;
+        }
+        if self.parked {
+            if self.asleep(res) {
+                return false; // the root: a parent skips asleep children itself
+            }
+            res.stand(&self.gates, false);
+            self.parked = false;
         }
         if !self.holds_slot {
             if !res.acquire_slot(self.ctrl) {
@@ -446,33 +512,84 @@ impl OuterNode {
             self.holds_slot = true;
             res.activity.ctrl_msgs += 1; // parent token
         }
-        if self.n_iters == 0 {
+        if self.n_iters() == 0 {
             self.finish(res);
             return true;
         }
-        // Tick active children; retire completed ones.
+        // Tick active children in `active` order and retire completed
+        // ones. Asleep children are passed over: their ticks would change
+        // nothing, and their notes stand.
+        let event = res.event_mode();
+        let mut wake = u64::MAX;
+        let mut all_parked = true;
         let mut i = 0;
         while i < self.active.len() {
+            let p = self.park[i];
+            if res.now < p.until && !res.woken_in(p.jobs.0, p.jobs.1) {
+                wake = wake.min(p.until);
+                i += 1;
+                continue;
+            }
+            if let Some(u) = p.mem {
+                res.stand(&[Standing::Mem(u)], false);
+            }
             let (it, ch, node) = &mut self.active[i];
+            let (it, ch) = (*it, *ch);
+            let occupied = node.occupying();
             if node.tick(res, model) {
-                let (it, ch) = (*it, *ch);
+                if occupied {
+                    self.in_flight[ch] -= 1;
+                }
                 self.active.swap_remove(i);
+                self.park.swap_remove(i);
                 self.mark_done(it, ch);
                 res.activity.ctrl_msgs += 1; // done token back to parent
                 res.mark_changed(); // retirement may unblock siblings
-            } else {
-                i += 1;
+                continue;
             }
+            if occupied && !node.occupying() {
+                self.in_flight[ch] -= 1; // a pipeline drains behind its unit
+            }
+            wake = wake.min(node.next_wake());
+            let p = if event { node.park(model) } else { AWAKE };
+            if let Some(u) = p.mem {
+                res.stand(&[Standing::Mem(u)], true);
+            }
+            all_parked &= p.until > 0;
+            self.park[i] = p;
+            i += 1;
         }
         // Start new children under the protocol.
-        match self.schedule {
+        let before = self.active.len();
+        self.gates.clear();
+        match model.outer[self.ctrl].schedule {
             Schedule::Sequential => self.start_sequential(res),
             Schedule::Pipelined | Schedule::Streaming => self.start_pipelined(res, model),
+        }
+        if event && all_parked && self.active.len() == before && !self.all_done() {
+            // Nothing here can change until a child wakes: park, and let
+            // every commit make this visit's gate notes.
+            self.wake_at = wake;
+            self.parked = true;
+            res.stand(&self.gates, true);
+            return false;
+        }
+        for n in &self.gates {
+            if let Standing::Gate(ctrl, unit, kind) = *n {
+                if let Some(u) = unit {
+                    res.note(u, CLASS_CTRL);
+                }
+                let now = res.now;
+                if let Some(t) = res.tracer.as_mut() {
+                    t.wait(ctrl, kind, now);
+                }
+            }
         }
         if self.all_done() {
             self.finish(res);
             return true;
         }
+        self.wake_at = wake; // fresh children are not draining
         false
     }
 
@@ -492,72 +609,70 @@ impl OuterNode {
         }
         let (mut it, mut ch) = self.seq_cursor;
         // Skip over already-finished positions.
-        while it < self.n_iters {
-            if ch >= self.n_children {
+        while it < self.n_iters() {
+            if ch >= self.n_children() {
                 it += 1;
                 ch = 0;
                 continue;
             }
             break;
         }
-        if it >= self.n_iters {
+        if it >= self.n_iters() {
             return;
         }
         if let Some(node) = self.iters[it][ch].take() {
-            self.active.push((it, ch, node));
-            self.started[ch] = self.started[ch].max(it + 1);
-            res.mark_changed(); // a fresh invocation entered the tree
+            self.launch(it, ch, node, res);
         }
         self.seq_cursor = (it, ch + 1);
+    }
+
+    /// Enters a fresh invocation of child `ch`, iteration `it`, into the
+    /// tree.
+    fn launch(&mut self, it: usize, ch: usize, node: Node, res: &mut Resources) {
+        if node.occupying() {
+            self.in_flight[ch] += 1;
+        }
+        self.active.push((it, ch, node));
+        self.park.push(AWAKE);
+        self.started[ch] = self.started[ch].max(it + 1);
+        res.mark_changed(); // a fresh invocation entered the tree
     }
 
     /// Coarse-grained pipelining: children overlap across parent
     /// iterations, gated by tokens (producers finished the same iteration),
     /// credits (consumers at most `depth-1` iterations behind), per-child
-    /// hardware width, and in-order starts.
+    /// hardware width, and in-order starts. Blocked gates become notes
+    /// (see [`note_blocked`](Self::note_blocked)).
     fn start_pipelined(&mut self, res: &mut Resources, model: &SimModel) {
-        // One pass over the active set; starts below only ever add
-        // invocations for the child being considered, so incrementing the
-        // started child's own count keeps the tally exact.
-        self.in_flight.fill(0);
-        for (_, c, n) in &self.active {
-            if n.occupying() {
-                self.in_flight[*c] += 1;
-            }
-        }
-        for ch in 0..self.n_children {
+        let om = &model.outer[self.ctrl];
+        for ch in 0..self.n_children() {
             loop {
                 let i = self.started[ch];
-                if i >= self.n_iters {
+                if i >= self.n_iters() {
                     break;
                 }
-                if self.in_flight[ch] >= self.width {
+                if self.in_flight[ch] >= om.width {
                     break;
                 }
                 // Tokens: all producers have finished iteration i.
-                let tokens_ok = self.deps_in[ch].iter().all(|pr| self.water[*pr] > i);
+                let tokens_ok = om.deps_in[ch].iter().all(|pr| self.water[*pr] > i);
                 if !tokens_ok {
-                    self.note_blocked(res, model, ch, WaitKind::Token);
+                    self.note_blocked(model, ch, WaitKind::Token);
                     break;
                 }
                 // Credits: don't run further ahead of any consumer than the
                 // buffer between allows.
-                let credits_ok = self.deps_out[ch]
+                let credits_ok = om.deps_out[ch]
                     .iter()
                     .all(|(co, depth)| i < self.water[*co] + *depth);
                 if !credits_ok {
-                    self.note_blocked(res, model, ch, WaitKind::Credit);
+                    self.note_blocked(model, ch, WaitKind::Credit);
                     break;
                 }
                 let Some(node) = self.iters[i][ch].take() else {
                     break;
                 };
-                if node.occupying() {
-                    self.in_flight[ch] += 1;
-                }
-                self.active.push((i, ch, node));
-                self.started[ch] = i + 1;
-                res.mark_changed(); // a fresh invocation entered the tree
+                self.launch(i, ch, node, res);
             }
         }
     }
@@ -583,12 +698,13 @@ impl OuterNode {
         for (_, _, node) in &self.active {
             node.collect_blocked(res, model, out);
         }
-        if matches!(self.schedule, Schedule::Sequential) {
+        let om = &model.outer[self.ctrl];
+        if matches!(om.schedule, Schedule::Sequential) {
             return;
         }
-        for ch in 0..self.n_children {
+        for ch in 0..self.n_children() {
             let i = self.started[ch];
-            if i >= self.n_iters {
+            if i >= self.n_iters() {
                 continue;
             }
             let in_flight = self
@@ -596,24 +712,24 @@ impl OuterNode {
                 .iter()
                 .filter(|(_, c, n)| *c == ch && n.occupying())
                 .count();
-            if in_flight >= self.width {
+            if in_flight >= om.width {
                 continue; // width-limited, not a protocol wait
             }
             let mut waits = Vec::new();
-            for (pr, _, _) in self.deps.iter().filter(|(_, c, _)| *c == ch) {
+            for (pr, _, _) in om.deps.iter().filter(|(_, c, _)| *c == ch) {
                 if self.water[*pr] <= i {
                     waits.push(WaitCause::Token {
-                        producer: self.children[*pr],
+                        producer: om.children[*pr],
                         producer_name: String::new(),
                         iter: i,
                         produced: self.water[*pr],
                     });
                 }
             }
-            for (_, co, depth) in self.deps.iter().filter(|(pr, _, _)| *pr == ch) {
+            for (_, co, depth) in om.deps.iter().filter(|(pr, _, _)| *pr == ch) {
                 if i >= self.water[*co] + *depth {
                     waits.push(WaitCause::Credit {
-                        consumer: self.children[*co],
+                        consumer: om.children[*co],
                         consumer_name: String::new(),
                         iter: i,
                         consumed: self.water[*co],
@@ -623,7 +739,7 @@ impl OuterNode {
             }
             if !waits.is_empty() {
                 out.push(BlockedUnit {
-                    ctrl: self.children[ch],
+                    ctrl: om.children[ch],
                     name: String::new(),
                     waits,
                     holds: vec![HeldResource::Tokens {
@@ -634,20 +750,15 @@ impl OuterNode {
         }
     }
 
-    /// Charges a control stall to the blocked child's hardware unit (leaf
-    /// children only; a blocked outer child shows up through its own
-    /// children) and records the wait span. Units busy with an earlier
-    /// iteration the same cycle stay busy: [`Resources::note`] keeps the
-    /// strongest class.
-    fn note_blocked(&self, res: &mut Resources, model: &SimModel, ch: usize, kind: WaitKind) {
-        let ctrl = self.children[ch];
-        if let Some(u) = unit_of(model, ctrl) {
-            res.note(u, CLASS_CTRL);
-        }
-        let now = res.now;
-        if let Some(t) = res.tracer.as_mut() {
-            t.wait(ctrl, kind, now);
-        }
+    /// Records a gate-blocked child: the visit then charges a control
+    /// stall to its hardware unit (leaf children only; a blocked outer
+    /// child shows up through its own children) and records the wait
+    /// span. Units busy with an earlier iteration the same cycle stay
+    /// busy: [`Resources::note`] keeps the strongest class.
+    fn note_blocked(&mut self, model: &SimModel, ch: usize, kind: WaitKind) {
+        let ctrl = model.outer[self.ctrl].children[ch];
+        self.gates
+            .push(Standing::Gate(ctrl, model.unit_of(ctrl), kind));
     }
 }
 
@@ -687,12 +798,20 @@ enum LeafState {
 }
 
 impl LeafNode {
+    /// Whether this is a transfer that has pushed every request and only
+    /// awaits responses: its tick changes nothing until a completion is
+    /// routed to its job.
+    fn awaits_responses(&self) -> bool {
+        matches!(&self.state, LeafState::Xfer { reqs, next, outstanding, .. }
+            if *next == reqs.len() && *outstanding > 0)
+    }
+
     fn tick(&mut self, res: &mut Resources, model: &SimModel) -> bool {
         loop {
             match &mut self.state {
                 LeafState::Idle => {
                     if !res.acquire_slot(self.ctrl) {
-                        if let Some(u) = unit_of(model, self.ctrl) {
+                        if let Some(u) = model.unit_of(self.ctrl) {
                             res.note(u, CLASS_CTRL);
                         }
                         let now = res.now;
@@ -702,13 +821,13 @@ impl LeafNode {
                         return false;
                     }
                     self.started_at = res.now;
-                    if let Some(cm) = model.compute.get(&self.ctrl) {
+                    if let Some(cm) = model.compute.get(self.ctrl) {
                         let vecs = self.work.trips.div_ceil(cm.lanes as u64);
                         self.state = LeafState::Issue {
                             remaining: vecs * cm.issue_factor,
                             beat: 0,
                         };
-                    } else if let Some(tm) = model.transfer.get(&self.ctrl) {
+                    } else if let Some(tm) = model.transfer.get(self.ctrl) {
                         self.state = LeafState::Xfer {
                             reqs: xfer_reqs(&self.work, tm, model),
                             next: 0,
@@ -727,7 +846,7 @@ impl LeafNode {
                 }
                 LeafState::Issue { remaining, beat } => {
                     if *remaining == 0 {
-                        let cm = &model.compute[&self.ctrl];
+                        let cm = &model.compute[self.ctrl];
                         // The pipeline drains behind the next invocation:
                         // release the unit as soon as issuing completes.
                         res.release_slot(self.ctrl);
@@ -738,7 +857,7 @@ impl LeafNode {
                         };
                         continue;
                     }
-                    let cm = &model.compute[&self.ctrl];
+                    let cm = &model.compute[self.ctrl];
                     let mut issued_any = false;
                     let mut useful = false;
                     let mut replayed = false;
@@ -756,7 +875,7 @@ impl LeafNode {
                                 continue;
                             }
                             *remaining -= 1;
-                            if *beat % cm.issue_factor == 0 {
+                            if cm.issue_factor == 1 || *beat % cm.issue_factor == 0 {
                                 useful = true;
                             }
                             *beat += 1;
@@ -765,8 +884,7 @@ impl LeafNode {
                         }
                     }
                     if issued_any {
-                        res.activity.pcu_busy_cycles +=
-                            (cm.phys_pcus / cm.slots.max(1)).max(1) as u64;
+                        res.activity.pcu_busy_cycles += cm.busy_pcus;
                     }
                     let unit = cm.unit;
                     if replayed {
@@ -792,7 +910,7 @@ impl LeafNode {
                     outstanding,
                     issued_requests,
                 } => {
-                    let tm: &TransferModel = &model.transfer[&self.ctrl];
+                    let tm: &TransferModel = &model.transfer[self.ctrl];
                     *outstanding = outstanding.saturating_sub(if tm.sparse {
                         res.take_elems(self.job)
                     } else {
@@ -802,7 +920,9 @@ impl LeafNode {
                     while pushed < tm.copies && *next < reqs.len() {
                         let (addr, w) = reqs[*next];
                         let ok = if tm.sparse {
-                            res.push_sparse(self.job, addr, w)
+                            // The job's element sequence number is the
+                            // count of its requests pushed so far.
+                            res.push_sparse(self.job, *issued_requests, addr, w)
                         } else {
                             res.push_dense(self.job, addr, w)
                         };
@@ -892,14 +1012,14 @@ impl LeafNode {
         if let Some(t) = res.tracer.as_mut() {
             t.leaf(self.ctrl, self.job, self.started_at, now);
         }
-        if let Some(cm) = model.compute.get(&self.ctrl) {
+        if let Some(cm) = model.compute.get(self.ctrl) {
             let a = &mut res.activity;
             a.fu_ops += self.work.trips * cm.ops_per_trip;
             a.heavy_ops += self.work.trips * cm.heavy_per_trip;
             let vecs = self.work.trips.div_ceil(cm.lanes as u64);
             a.red_ops += vecs * cm.red_ops_per_vec;
             a.fu_ops += vecs * cm.red_ops_per_vec;
-            let (rd, wr) = model.sram_words.get(&self.ctrl).copied().unwrap_or((0, 0));
+            let (rd, wr) = model.sram_words.get(self.ctrl).copied().unwrap_or((0, 0));
             a.sram_reads += self.work.trips * rd;
             if self.work.emitted > 0 {
                 a.sram_writes += self.work.emitted;
@@ -911,7 +1031,7 @@ impl LeafNode {
         }
         // Transfers: DRAM traffic is counted by the DRAM model itself; the
         // network share:
-        if let Some(tm) = model.transfer.get(&self.ctrl) {
+        if let Some(tm) = model.transfer.get(self.ctrl) {
             let words: u64 = self.work.dram.iter().map(|r| r.len as u64).sum();
             res.activity.net_word_hops += words * tm.hops;
         }

@@ -109,13 +109,9 @@ impl UnitCycles {
         self.healing += o.healing;
     }
 
-    pub(crate) fn bump(&mut self, class: u8) {
-        self.bump_by(class, 1);
-    }
-
-    /// Bulk form of [`bump`](Self::bump): attributes `k` cycles to one
-    /// class in a single step. The event-driven kernel uses it to commit a
-    /// whole skipped span at once while keeping the sum invariant exact.
+    /// Attributes `k` cycles to one class in a single step: the
+    /// attribution credits each unit's run of one class at once, which
+    /// keeps the sum invariant exact however many cycles were skipped.
     pub(crate) fn bump_by(&mut self, class: u8, k: u64) {
         match class {
             CLASS_BUSY => self.busy += k,
@@ -217,6 +213,24 @@ impl WaitKind {
             WaitKind::Slot => "slot",
             WaitKind::Token => "token",
             WaitKind::Credit => "credit",
+        }
+    }
+
+    /// Compact code keying the tracer's open spans.
+    pub(crate) fn code(self) -> u8 {
+        match self {
+            WaitKind::Slot => 0,
+            WaitKind::Token => 1,
+            WaitKind::Credit => 2,
+        }
+    }
+
+    /// Inverse of [`code`](Self::code).
+    pub(crate) fn from_code(k: u8) -> WaitKind {
+        match k {
+            0 => WaitKind::Slot,
+            1 => WaitKind::Token,
+            _ => WaitKind::Credit,
         }
     }
 }
@@ -457,15 +471,10 @@ pub(crate) struct Tracer {
 
 impl Tracer {
     pub(crate) fn wait(&mut self, ctrl: CtrlId, kind: WaitKind, now: u64) {
-        let k = match kind {
-            WaitKind::Slot => 0,
-            WaitKind::Token => 1,
-            WaitKind::Credit => 2,
-        };
         extend(
             &mut self.open_waits,
             &mut self.closed_waits,
-            (ctrl.0, k),
+            (ctrl.0, kind.code()),
             now,
         );
     }
@@ -483,7 +492,8 @@ impl Tracer {
     /// cycles. During a span of cycles the event kernel skips (or processes
     /// without a tree tick), a per-cycle stepper would have re-noted the
     /// same blocked state every cycle — this is the bulk equivalent, so
-    /// exported traces stay bit-identical between step modes.
+    /// exported traces stay bit-identical between step modes
+    /// (`tests/lockstep.rs` checks every workload under both clocks).
     pub(crate) fn extend_open(&mut self, end: u64, k: u64) {
         for span in self.open_waits.values_mut() {
             if span.1 == end {
@@ -534,16 +544,11 @@ impl Tracer {
 
     /// Closes all open spans and returns the sorted trace.
     pub(crate) fn finish(mut self, now: u64) -> SimTrace {
-        let wait_kind = |k: u8| match k {
-            0 => WaitKind::Slot,
-            1 => WaitKind::Token,
-            _ => WaitKind::Credit,
-        };
         self.closed_waits.extend(self.open_waits.drain());
         for ((ctrl, k), (start, end)) in self.closed_waits.drain(..) {
             self.events.push(TraceEvent::Wait {
                 ctrl: CtrlId(ctrl),
-                kind: wait_kind(k),
+                kind: WaitKind::from_code(k),
                 start,
                 end,
             });

@@ -161,7 +161,7 @@ pub fn run_healed(
                     }
                 }
                 watermark = report.cycle;
-                let Some(next) = health.lowest_healthy_band(&topo, &cur, params.mix) else {
+                let Some(next) = health.lowest_healthy_band(&topo, &cur, params.mix, None) else {
                     return Err(SimError::FabricDegraded(report));
                 };
                 if next != cur {
@@ -506,19 +506,7 @@ fn soak_multi(
                     }
                 }
                 watermark = report.cycle;
-                let period = params.mix.vertical_period().max(1);
-                let mut next = None;
-                let mut y0 = cur_a.y0 % period;
-                while y0 + cur_a.rows <= params.rows {
-                    let cand = Partition::new(y0, cur_a.rows, cur_a.channels);
-                    let overlaps_b =
-                        cand.y0 < band_b.y0 + band_b.rows && band_b.y0 < cand.y0 + cand.rows;
-                    if !overlaps_b && health.band_is_healthy(&topo, &cand) {
-                        next = Some(cand);
-                        break;
-                    }
-                    y0 += period;
-                }
+                let next = health.lowest_healthy_band(&topo, &cur_a, params.mix, Some(&band_b));
                 let Some(next) = next else {
                     final_status = Some("fabric_degraded".to_string());
                     break;

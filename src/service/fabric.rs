@@ -631,7 +631,7 @@ fn plan_admissions(g: &mut FabricState) -> Vec<Admission> {
                 match table.allocate_compatible_where(rows, channels, a.y0, mix, healthy) {
                     Some(band) => Some((band, true)),
                     None if health
-                        .lowest_healthy_band(topo, &Partition::new(a.y0, rows, channels), mix)
+                        .lowest_healthy_band(topo, &Partition::new(a.y0, rows, channels), mix, None)
                         .is_some() =>
                     {
                         // A healthy compatible band exists but is

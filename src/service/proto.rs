@@ -100,12 +100,41 @@ pub struct Request {
     pub timeline: Option<String>,
 }
 
-/// Parses one request line. The error string is ready to ship back as a
-/// `usage` response.
-pub fn parse_request(line: &str) -> Result<Request, (Option<Json>, String)> {
-    let j = Json::parse(line).map_err(|e| (None, format!("bad request JSON: {e}")))?;
+/// A request line that did not parse: what is known of it, for the
+/// `usage` reply.
+#[derive(Debug, Clone)]
+pub struct BadRequest {
+    /// The request's `id`, when the line was JSON and carried one.
+    pub id: Option<Json>,
+    /// The request's op, when it named a known one.
+    pub op: Option<Op>,
+    /// What is wrong, ready to ship back.
+    pub message: String,
+}
+
+impl BadRequest {
+    /// The `usage` error reply: it echoes the id, and names the op when
+    /// the op parsed (`"?"` otherwise), so a client matching replies by op
+    /// can tell which request failed.
+    pub fn response(&self) -> Json {
+        let op = self.op.map_or("?", Op::as_str);
+        error_response(&self.id, op, ExitStatus::Usage, &self.message)
+    }
+}
+
+/// Parses one request line.
+pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
+    let j = Json::parse(line).map_err(|e| BadRequest {
+        id: None,
+        op: None,
+        message: format!("bad request JSON: {e}"),
+    })?;
     let id = j.get("id").cloned();
-    let err = |m: String| (id.clone(), m);
+    let bad = |op: Option<Op>, message: String| BadRequest {
+        id: id.clone(),
+        op,
+        message,
+    };
     let op = match j.get("op").and_then(Json::as_str) {
         Some("compile") => Op::Compile,
         Some("run") => Op::Run,
@@ -115,10 +144,11 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<Json>, String)> {
         Some("tenants") => Op::Tenants,
         Some("evict") => Op::Evict,
         Some("shutdown") => Op::Shutdown,
-        Some(other) => return Err(err(format!("unknown op `{other}`"))),
-        None => return Err(err("missing `op` field".to_string())),
+        Some(other) => return Err(bad(None, format!("unknown op `{other}`"))),
+        None => return Err(bad(None, "missing `op` field".to_string())),
     };
-    let str_field = |k: &str| -> Result<Option<String>, (Option<Json>, String)> {
+    let err = |m: String| bad(Some(op), m);
+    let str_field = |k: &str| -> Result<Option<String>, BadRequest> {
         match j.get(k) {
             None => Ok(None),
             Some(v) => v
@@ -288,11 +318,11 @@ mod tests {
 
     #[test]
     fn a_threads_field_is_a_usage_error_naming_job_parallelism() {
-        let (id, msg) =
+        let e =
             parse_request(r#"{"id": 8, "op": "run", "bench": "GEMM", "threads": 4}"#).unwrap_err();
-        assert_eq!(id.unwrap().as_i64(), Some(8));
+        assert_eq!(e.id.unwrap().as_i64(), Some(8));
         for needle in ["`threads`", "batch --jobs", "--workers"] {
-            assert!(msg.contains(needle), "{msg}");
+            assert!(e.message.contains(needle), "{}", e.message);
         }
     }
 
@@ -310,20 +340,33 @@ mod tests {
             parse_request(r#"{"op": "tenants"}"#).unwrap().op,
             Op::Tenants
         );
-        let (_, msg) =
-            parse_request(r#"{"op": "submit", "bench": "GEMM", "rows": 0}"#).unwrap_err();
-        assert!(msg.contains("rows"), "{msg}");
+        let e = parse_request(r#"{"op": "submit", "bench": "GEMM", "rows": 0}"#).unwrap_err();
+        assert!(e.message.contains("rows"), "{}", e.message);
     }
 
     #[test]
     fn bad_requests_keep_their_id_for_the_error_reply() {
-        let (id, msg) = parse_request(r#"{"id": "x1", "op": "fly"}"#).unwrap_err();
-        assert_eq!(id.unwrap().as_str(), Some("x1"));
-        assert!(msg.contains("unknown op"), "{msg}");
-        let (id, _) = parse_request("{ not json").unwrap_err();
-        assert!(id.is_none());
-        let (_, msg) = parse_request(r#"{"op": "run", "scale": 0}"#).unwrap_err();
-        assert!(msg.contains("scale"), "{msg}");
+        let e = parse_request(r#"{"id": "x1", "op": "fly"}"#).unwrap_err();
+        assert_eq!(e.id.unwrap().as_str(), Some("x1"));
+        assert!(e.message.contains("unknown op"), "{}", e.message);
+        let e = parse_request("{ not json").unwrap_err();
+        assert!(e.id.is_none());
+        let e = parse_request(r#"{"op": "run", "scale": 0}"#).unwrap_err();
+        assert!(e.message.contains("scale"), "{}", e.message);
+    }
+
+    #[test]
+    fn usage_replies_name_the_op_when_it_parsed() {
+        let reply = |line: &str| parse_request(line).unwrap_err().response();
+        let r = reply(r#"{"id": 1, "op": "run", "bench": "GEMM", "scale": 0}"#);
+        assert_eq!(r.get("op").unwrap().as_str(), Some("run"));
+        assert_eq!(r.get("status").unwrap().as_str(), Some("usage"));
+        assert_eq!(r.get("id").unwrap().as_i64(), Some(1));
+        for line in ["{ not json", r#"{"id": 2, "op": "fly"}"#, r#"{"id": 3}"#] {
+            let r = reply(line);
+            assert_eq!(r.get("op").unwrap().as_str(), Some("?"), "{line}");
+            assert_eq!(r.get("status").unwrap().as_str(), Some("usage"), "{line}");
+        }
     }
 
     #[test]

@@ -482,9 +482,9 @@ fn handle_line(shared: &Arc<Shared>, line: &str, reply: &Reply) {
     }
     let req = match parse_request(line) {
         Ok(r) => r,
-        Err((id, msg)) => {
+        Err(bad) => {
             shared.metrics.record_inline("usage");
-            reply.send(&error_response(&id, "?", ExitStatus::Usage, &msg));
+            reply.send(&bad.response());
             return;
         }
     };

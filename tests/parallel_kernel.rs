@@ -4,9 +4,14 @@
 //! Event and cycle stepping must be *invisible* in every result byte, and a
 //! checkpoint must carry no trace of the step mode that wrote it. A
 //! pinned-seed proptest over random (workload, fault spec, checkpoint
-//! cadence) tuples asserts both, *crossing* step modes between the
-//! checkpointing and the resuming run. Same-mode round trips live in
-//! `checkpoint_resume.rs`; fixed-spec step-mode agreement in `step_mode.rs`.
+//! cadence, fabric clock, credit cap) tuples asserts both, *crossing* step
+//! modes between the checkpointing and the resuming run. The 96× clock
+//! makes transfers wait thousands of cycles on DRAM, so event stepping
+//! parks them for long spans; a credit cap blocks pipelined children on
+//! their gates, whose control-stall notes then stand for parked nodes, and
+//! may deadlock the run — then both modes must fail alike. Same-mode round
+//! trips live in `checkpoint_resume.rs`; fixed-spec step-mode agreement in
+//! `step_mode.rs`; pause-by-pause agreement in `lockstep.rs`.
 
 use plasticine::arch::{FaultMap, FaultSpec, PlasticineParams, Topology};
 use plasticine::compiler::{compile, compile_degraded, CompileOptions, CompileOutput};
@@ -43,10 +48,12 @@ fn fresh_machine<'p>(bench: &Bench, prog: &'p Program) -> Machine<'p> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Property: for a random (workload, fault spec, checkpoint cadence)
-    /// tuple, (a) cycle mode matches event mode straight through, and (b)
-    /// checkpointing under one step mode and resuming under the other
-    /// reproduces the same bytes, in both directions.
+    /// Property: for a random (workload, fault spec, checkpoint cadence,
+    /// fabric clock, credit cap) tuple, (a) cycle mode matches event mode
+    /// straight through — the same stats, or the same error at the same
+    /// cycle with the same rendered report — and (b) for a run that
+    /// finishes, checkpointing under one step mode and resuming under the
+    /// other reproduces the same bytes, in both directions.
     #[test]
     fn random_tuples_hold_identity(
         which in 0usize..13,
@@ -57,6 +64,8 @@ proptest! {
             Some("pcu=3,links=2,chan=1,seed=11"),
             Some("drop=0.005,seed=5"),
         ]),
+        core_ghz in prop::sample::select(vec![1.0f64, 96.0]),
+        credit_cap in prop::sample::select(vec![None, Some(0usize), Some(1)]),
     ) {
         let params = PlasticineParams::paper_final();
         let (bench, cached_out) = &compiled()[which];
@@ -79,23 +88,24 @@ proptest! {
         let opts = |step: StepMode| SimOptions {
             step,
             faults: faults.clone(),
+            dram: DramConfig { core_ghz, ..DramConfig::default() },
+            credit_cap,
             ..SimOptions::default()
         };
 
-        // (a) Event vs cycle, straight through.
-        let event = {
+        // (a) Event vs cycle, straight through: the same stats, or the
+        // same failure.
+        let run = |step| {
             let mut m = fresh_machine(bench, &prog);
-            let r = simulate(&prog, &out, &mut m, &opts(StepMode::Event))
-                .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name)))?;
-            (r.stats_json().pretty(), r.cycles)
+            simulate(&prog, &out, &mut m, &opts(step))
+                .map(|r| (r.stats_json().pretty(), r.cycles))
+                .map_err(|e| e.to_string())
         };
-        let cycle = {
-            let mut m = fresh_machine(bench, &prog);
-            let r = simulate(&prog, &out, &mut m, &opts(StepMode::Cycle))
-                .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name)))?;
-            r.stats_json().pretty()
+        let event = run(StepMode::Event);
+        prop_assert_eq!(&run(StepMode::Cycle), &event, "straight-through cycle mode diverged");
+        let Ok(event) = event else {
+            return Ok(()); // both modes failed alike; nothing to resume
         };
-        prop_assert_eq!(&cycle, &event.0, "straight-through cycle mode diverged");
 
         // (b) Checkpoint under one step mode, resume under the other.
         let every = (event.1 * frac / 10).max(1);
