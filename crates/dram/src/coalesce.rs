@@ -12,34 +12,6 @@ use crate::system::{DramSystem, QueueFull};
 use plasticine_json::decode::{arr_of, bool_of, field, hex_of, u64_of, R};
 use plasticine_json::Json;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hashes coalescing-cache keys (a line number and a direction) with a
-/// rotate, a xor and a multiply per word. The keys are simulated
-/// addresses, not untrusted input, so SipHash's flooding resistance buys
-/// nothing and costs more than the probe it guards.
-#[derive(Debug, Default, Clone, Copy)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A 4-byte element request from an address generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +64,7 @@ pub struct CoalescingUnit {
     line_bytes: u64,
     capacity: usize,
     namespace: u64,
-    cache: HashMap<(u64, bool), Entry, BuildHasherDefault<LineHasher>>,
+    cache: HashMap<(u64, bool), Entry>,
     issue_queue: VecDeque<(u64, bool)>,
     /// Line of each issued request, by request id: slot `i` is id
     /// `namespace + req_base + i`, `None` once it completed. Line requests
@@ -121,7 +93,7 @@ impl CoalescingUnit {
             line_bytes,
             capacity,
             namespace,
-            cache: HashMap::default(),
+            cache: HashMap::new(),
             issue_queue: VecDeque::new(),
             by_req: VecDeque::new(),
             req_base: 0,

@@ -33,13 +33,13 @@ impl<T> CtrlTable<T> {
         self.0.get_mut(ctrl.0 as usize).and_then(Option::as_mut)
     }
 
-    /// Sets the entry for `ctrl`, growing the table if needed.
+    /// Sets the entry for `ctrl`.
+    ///
+    /// # Panics
+    ///
+    /// If `ctrl` lies outside the table's id range.
     pub fn insert(&mut self, ctrl: CtrlId, v: T) {
-        let i = ctrl.0 as usize;
-        if i >= self.0.len() {
-            self.0.resize_with(i + 1, || None);
-        }
-        self.0[i] = Some(v);
+        self.0[ctrl.0 as usize] = Some(v);
     }
 
     /// Entries with their ids, in id order.
@@ -120,9 +120,6 @@ pub struct ComputeModel {
     pub red_ops_per_vec: u64,
     /// Physical PCUs occupied (all copies).
     pub phys_pcus: usize,
-    /// PCU-cycles one issuing cycle of an invocation charges: the physical
-    /// PCUs per invocation slot (at least one).
-    pub busy_pcus: u64,
 }
 
 /// Timing model of one transfer leaf controller.
@@ -422,7 +419,6 @@ impl SimModel {
                             heavy_per_trip: v.ops.iter().filter(|o| o.heavy).count() as u64,
                             red_ops_per_vec,
                             phys_pcus: c.sites.len(),
-                            busy_pcus: (c.sites.len() / anc).max(1) as u64,
                         },
                     );
                     sram_words.insert(cid, (rd_words, wr_words));

@@ -206,23 +206,6 @@ pub(crate) enum Standing {
     Gate(CtrlId, Option<UnitId>, WaitKind),
 }
 
-/// Dense indices of one unit, `usize::MAX` where it has none.
-#[derive(Debug, Clone, Copy)]
-struct UnitIdx {
-    /// Stall-attribution slot (tracked units).
-    slot: usize,
-    /// Port index (scratchpads with modelled ports; a unit without one
-    /// always satisfies an acquire).
-    port: usize,
-}
-
-impl UnitIdx {
-    const NONE: UnitIdx = UnitIdx {
-        slot: usize::MAX,
-        port: usize::MAX,
-    };
-}
-
 /// A DRAM request awaiting re-issue after its response was dropped.
 #[derive(Debug, Clone, Copy)]
 struct PendingRetry {
@@ -237,9 +220,9 @@ pub struct Resources {
     pub now: u64,
     /// Free invocation slots per controller (no entry: no hardware).
     slots: CtrlTable<usize>,
-    /// Dense indices per raw unit id: its stall-attribution slot and its
-    /// port index (see [`UnitIdx`]).
-    unit_idx: Vec<UnitIdx>,
+    /// Dense port index per scratchpad unit, indexed by raw unit id
+    /// (`usize::MAX` = no modelled ports, always satisfies an acquire).
+    port_idx: Vec<usize>,
     /// Port capacity per dense index (the refresh source).
     port_caps: Vec<usize>,
     /// Remaining read/write tokens this cycle, refreshed from `port_caps`
@@ -273,21 +256,13 @@ pub struct Resources {
     standing_n: usize,
     /// Accumulated activity.
     pub activity: Activity,
+    /// Dense slot index per tracked unit, indexed by raw unit id
+    /// (`usize::MAX` = untracked), for stall attribution.
+    unit_slot: Vec<usize>,
     /// Highest-priority class noted for each tracked unit this cycle.
     pending_class: Vec<u8>,
-    /// Committed per-unit cycle breakdowns, up to each unit's current run
-    /// (see [`unit_totals`](Self::unit_totals)).
+    /// Committed per-unit cycle breakdowns.
     unit_cycles: Vec<UnitCycles>,
-    /// Committed cycles so far (committed and skipped alike).
-    committed: u64,
-    /// Per unit: the committed-cycle count at which its current run of
-    /// `last_class` began. Its cycles since then are credited lazily, so a
-    /// commit costs a compare per unit unless the class changes, and a
-    /// skipped span costs nothing per unit.
-    run_start: Vec<u64>,
-    /// Healing-overlay cycles every unit accrued since `unit_cycles` last
-    /// took them (the overlay covers all units alike).
-    heal_run: u64,
     /// Structured event recorder; `None` keeps tracing zero-cost.
     pub(crate) tracer: Option<Tracer>,
     /// Transient-fault injection stream; `None` when all rates are zero, so
@@ -338,8 +313,7 @@ pub struct Resources {
     push_blocked: bool,
     /// The per-unit class vector committed by the most recent
     /// [`commit_cycle`](Self::commit_cycle); a quiescent cycle re-derives
-    /// exactly this vector, so skipped cycles replay it in bulk. It is
-    /// also the class of each unit's current run.
+    /// exactly this vector, so skipped cycles replay it in bulk.
     last_class: Vec<u8>,
     /// begin_cycle effect flags, consulted by the event kernel.
     /// Whether the latest begin_cycle routed any completion to a job.
@@ -387,13 +361,14 @@ impl Resources {
             .chain(model.mem_ports.keys().map(|u| u.0 as usize + 1))
             .max()
             .unwrap_or(0);
-        let mut unit_idx = vec![UnitIdx::NONE; max_unit];
+        let mut unit_slot = vec![usize::MAX; max_unit];
         for (i, t) in model.tracked.iter().enumerate() {
-            unit_idx[t.unit.0 as usize].slot = i;
+            unit_slot[t.unit.0 as usize] = i;
         }
+        let mut port_idx = vec![usize::MAX; max_unit];
         let mut port_caps = Vec::new();
         for (u, cap) in &model.mem_ports {
-            unit_idx[u.0 as usize].port = port_caps.len();
+            port_idx[u.0 as usize] = port_caps.len();
             port_caps.push(*cap);
         }
         let read_tokens = port_caps.clone();
@@ -401,7 +376,7 @@ impl Resources {
         Resources {
             now: 0,
             slots: model.ctrl_slots.clone(),
-            unit_idx,
+            port_idx,
             port_caps,
             read_tokens,
             write_tokens,
@@ -417,11 +392,9 @@ impl Resources {
             standing_waits: BTreeMap::new(),
             standing_n: 0,
             activity: Activity::default(),
+            unit_slot,
             pending_class: vec![CLASS_IDLE; model.tracked.len()],
             unit_cycles: vec![UnitCycles::default(); model.tracked.len()],
-            committed: 0,
-            run_start: vec![0; model.tracked.len()],
-            heal_run: 0,
             tracer: None,
             rng: None,
             transients: TransientFaults::default(),
@@ -602,8 +575,8 @@ impl Resources {
     /// Stall-attribution slot for a unit, if tracked.
     #[inline]
     fn slot_of(&self, unit: UnitId) -> Option<usize> {
-        match self.unit_idx.get(unit.0 as usize).map(|x| x.slot) {
-            Some(s) if s != usize::MAX => Some(s),
+        match self.unit_slot.get(unit.0 as usize) {
+            Some(&s) if s != usize::MAX => Some(s),
             _ => None,
         }
     }
@@ -611,8 +584,8 @@ impl Resources {
     /// Dense port index for a unit, if it has modelled ports.
     #[inline]
     fn port_of(&self, unit: UnitId) -> Option<usize> {
-        match self.unit_idx.get(unit.0 as usize).map(|x| x.port) {
-            Some(p) if p != usize::MAX => Some(p),
+        match self.port_idx.get(unit.0 as usize) {
+            Some(&p) if p != usize::MAX => Some(p),
             _ => None,
         }
     }
@@ -720,24 +693,21 @@ impl Resources {
                 }
             }
         }
-        let at = self.committed;
-        self.committed += 1;
-        for (((p, c), l), r) in self
+        let heal = self.healing_active;
+        for ((p, c), l) in self
             .pending_class
             .iter_mut()
             .zip(&mut self.unit_cycles)
             .zip(&mut self.last_class)
-            .zip(&mut self.run_start)
         {
-            if *p != *l {
-                c.bump_by(*l, at - *r);
-                *l = *p;
-                *r = at;
+            c.bump(*p);
+            if heal {
+                c.healing += 1;
             }
+            *l = *p;
             *p = CLASS_IDLE;
         }
-        if self.healing_active {
-            self.heal_run += 1;
+        if heal {
             self.fault_stats.healing_cycles += self.unit_cycles.len() as u64;
         }
     }
@@ -748,20 +718,16 @@ impl Resources {
     /// class. Keeps the per-unit invariant busy+ctrl+mem+idle == total
     /// cycles exact.
     pub(crate) fn commit_skipped(&mut self, k: u64) {
-        self.committed += k;
-        if self.healing_active {
-            self.heal_run += k;
+        let heal = self.healing_active;
+        for (l, c) in self.last_class.iter().zip(&mut self.unit_cycles) {
+            c.bump_by(*l, k);
+            if heal {
+                c.healing += k;
+            }
+        }
+        if heal {
             self.fault_stats.healing_cycles += self.unit_cycles.len() as u64 * k;
         }
-    }
-
-    /// Unit `s`'s breakdown over every committed cycle: its credited
-    /// totals plus its current run and the shared healing overlay.
-    fn unit_totals(&self, s: usize) -> UnitCycles {
-        let mut c = self.unit_cycles[s];
-        c.bump_by(self.last_class[s], self.committed - self.run_start[s]);
-        c.healing += self.heal_run;
-        c
     }
 
     /// Advances the clock by `k` cycles without simulating them (all state
@@ -785,12 +751,12 @@ impl Resources {
             units: model
                 .tracked
                 .iter()
-                .enumerate()
-                .map(|(s, t)| UnitStat {
+                .zip(&self.unit_cycles)
+                .map(|(t, c)| UnitStat {
                     unit: t.unit,
                     kind: t.kind,
                     label: t.label.clone(),
-                    cycles: self.unit_totals(s),
+                    cycles: *c,
                 })
                 .collect(),
         }
@@ -1114,20 +1080,17 @@ impl Resources {
         if !ok {
             return false;
         }
-        for (units, tokens) in [
-            (reads, &mut self.read_tokens),
-            (writes, &mut self.write_tokens),
-        ] {
-            for u in units {
-                if let Some(x) = self.unit_idx.get(u.0 as usize) {
-                    if x.port != usize::MAX {
-                        tokens[x.port] -= 1;
-                    }
-                    if x.slot != usize::MAX {
-                        self.pending_class[x.slot] = CLASS_BUSY; // the top class
-                    }
-                }
+        for u in reads {
+            if let Some(p) = self.port_of(*u) {
+                self.read_tokens[p] -= 1;
             }
+            self.note(*u, CLASS_BUSY);
+        }
+        for u in writes {
+            if let Some(p) = self.port_of(*u) {
+                self.write_tokens[p] -= 1;
+            }
+            self.note(*u, CLASS_BUSY);
         }
         if !reads.is_empty() || !writes.is_empty() {
             self.activity.pmu_busy_cycles += 1;
@@ -1351,9 +1314,9 @@ impl Resources {
             (
                 "unit_cycles",
                 Json::Arr(
-                    (0..self.unit_cycles.len())
-                        .map(|s| {
-                            let u = self.unit_totals(s);
+                    self.unit_cycles
+                        .iter()
+                        .map(|u| {
                             Json::obj([
                                 ("busy", Json::from(u.busy)),
                                 ("ctrl", Json::from(u.ctrl_stall)),
@@ -1500,7 +1463,6 @@ impl Resources {
             Ok(out)
         };
         self.now = u64_of(j, "now")?;
-        self.slots.clear();
         for e in arr_of(j, "slots")? {
             let p = e
                 .as_arr()
@@ -1513,7 +1475,12 @@ impl Resources {
             let n = p[1]
                 .as_usize()
                 .ok_or_else(|| "bad slot count".to_string())?;
-            self.slots.insert(CtrlId(c), n);
+            // Only controllers with hardware have slots; the table spans
+            // the model's ids and does not grow.
+            *self
+                .slots
+                .get_mut(CtrlId(c))
+                .ok_or_else(|| format!("slot entry for controller {c}, which has no slots"))? = n;
         }
         self.dram.restore(field(j, "dram")?)?;
         let cus = arr_of(j, "cus")?;
@@ -1690,10 +1657,6 @@ impl Resources {
         }
         self.fault_exhausted = None;
         self.pending_class.fill(CLASS_IDLE);
-        // The restored totals cover every committed cycle.
-        self.committed = self.now;
-        self.run_start.fill(self.now);
-        self.heal_run = 0;
         // Park state is derived: a restored tree starts with every node
         // awake, so nothing stands.
         self.standing.fill([0; 2]);
@@ -1724,6 +1687,7 @@ mod tests {
     #[test]
     fn slots_are_counted() {
         let mut m = empty_model();
+        m.ctrl_slots = CtrlTable::new(1);
         m.ctrl_slots.insert(CtrlId(0), 2);
         let mut r = Resources::new(&m, &PlasticineParams::paper_final(), DramConfig::default());
         assert!(r.acquire_slot(CtrlId(0)));
@@ -1731,6 +1695,41 @@ mod tests {
         assert!(!r.acquire_slot(CtrlId(0)));
         r.release_slot(CtrlId(0));
         assert!(r.acquire_slot(CtrlId(0)));
+    }
+
+    #[test]
+    fn restore_rejects_slots_of_unknown_controllers() {
+        let mut m = empty_model();
+        m.ctrl_slots = CtrlTable::new(2);
+        m.ctrl_slots.insert(CtrlId(0), 2);
+        let params = PlasticineParams::paper_final();
+        let mut r = Resources::new(&m, &params, DramConfig::default());
+        assert!(r.acquire_slot(CtrlId(0)));
+        let snap = r.snapshot();
+        let with_slots = |slots: Vec<(u64, u64)>| {
+            let Json::Obj(mut fields) = snap.clone() else {
+                panic!("snapshot is not an object");
+            };
+            let f = fields.iter_mut().find(|(k, _)| k == "slots").unwrap();
+            f.1 = Json::Arr(
+                slots
+                    .into_iter()
+                    .map(|(c, n)| Json::Arr(vec![Json::from(c), Json::from(n)]))
+                    .collect(),
+            );
+            Json::Obj(fields)
+        };
+        // A controller inside the id range without slots, and one far past
+        // it: neither may gain slots, nor grow the table.
+        for bad in [1, u64::from(u32::MAX)] {
+            let mut fresh = Resources::new(&m, &params, DramConfig::default());
+            let err = fresh.restore(&with_slots(vec![(0, 1), (bad, 1)]));
+            assert!(err.unwrap_err().contains("no slots"));
+        }
+        let mut fresh = Resources::new(&m, &params, DramConfig::default());
+        fresh.restore(&snap).unwrap();
+        assert!(fresh.acquire_slot(CtrlId(0)));
+        assert!(!fresh.acquire_slot(CtrlId(0)));
     }
 
     #[test]

@@ -875,7 +875,7 @@ impl LeafNode {
                                 continue;
                             }
                             *remaining -= 1;
-                            if cm.issue_factor == 1 || *beat % cm.issue_factor == 0 {
+                            if *beat % cm.issue_factor == 0 {
                                 useful = true;
                             }
                             *beat += 1;
@@ -884,7 +884,8 @@ impl LeafNode {
                         }
                     }
                     if issued_any {
-                        res.activity.pcu_busy_cycles += cm.busy_pcus;
+                        res.activity.pcu_busy_cycles +=
+                            (cm.phys_pcus / cm.slots.max(1)).max(1) as u64;
                     }
                     let unit = cm.unit;
                     if replayed {

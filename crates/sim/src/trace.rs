@@ -109,9 +109,13 @@ impl UnitCycles {
         self.healing += o.healing;
     }
 
-    /// Attributes `k` cycles to one class in a single step: the
-    /// attribution credits each unit's run of one class at once, which
-    /// keeps the sum invariant exact however many cycles were skipped.
+    pub(crate) fn bump(&mut self, class: u8) {
+        self.bump_by(class, 1);
+    }
+
+    /// Bulk form of [`bump`](Self::bump): attributes `k` cycles to one
+    /// class in a single step. The event-driven kernel uses it to commit a
+    /// whole skipped span at once while keeping the sum invariant exact.
     pub(crate) fn bump_by(&mut self, class: u8, k: u64) {
         match class {
             CLASS_BUSY => self.busy += k,
