@@ -10,8 +10,9 @@
 //! * `balanced` — the paper's 4×DDR3-1600 with the fabric at 1 GHz. The
 //!   fabric is active most cycles, so quiescent-cycle skipping finds
 //!   little to skip; the event kernel's edge comes from not visiting
-//!   parked controllers, and the kernels ran 1.1–1.5× apart on a 2-core
-//!   host, bounded by the DRAM scheduler both modes share.
+//!   parked controllers, and the kernels ran 1.04–1.51× apart over ten
+//!   runs on a 2-core host, bounded by the DRAM scheduler both modes
+//!   share.
 //! * `remote` — the same DDR3 timing seen from a fabric clocked 96×
 //!   faster (`core_ghz = 96`), i.e. every memory access costs thousands
 //!   of fabric cycles, as with far/disaggregated memory. The fabric

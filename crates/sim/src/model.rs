@@ -60,11 +60,6 @@ impl<T> CtrlTable<T> {
         self.0.iter_mut().flatten()
     }
 
-    /// Removes every entry, keeping the table's id range.
-    pub fn clear(&mut self) {
-        self.0.iter_mut().for_each(|v| *v = None);
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.values().count()
